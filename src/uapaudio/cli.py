@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import platform
 import sys
 from pathlib import Path
@@ -60,17 +61,26 @@ def _jsonable(value):
     return value
 
 
+# path arguments; "models" is a comma-separated list of paths
+_PATH_ARGS = ("data", "model", "models", "out", "pert", "report")
+
+
 def _write_run_manifest(artifact: Path, command: str, args: argparse.Namespace,
                         extra: dict | None = None) -> None:
+    target = artifact / "run.json" if artifact.is_dir() else Path(str(artifact) + ".run.json")
+    recorded = {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k != "func"}
+    for k in _PATH_ARGS:
+        if recorded.get(k) is not None:
+            # relative to the manifest, so the same run elsewhere writes the same bytes
+            recorded[k] = ",".join(os.path.relpath(p, target.parent) for p in recorded[k].split(",") if p)
     manifest = {
         "command": command,
-        "args": {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k != "func"},
+        "args": recorded,
         "versions": {"uapaudio": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
     }
     if extra:
         manifest["result"] = _jsonable(extra)
-    target = artifact / "run.json" if artifact.is_dir() else Path(str(artifact) + ".run.json")
     target.write_bytes(canonical_json(manifest) + b"\n")
 
 
@@ -193,7 +203,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         grid = [int(g) for g in _parse_grid(args.grid)] if args.grid else list(DATACOUNT_GRID)
         gcfg = GreedyConfig(mode=args.mode, target=args.target, delta=args.delta,
-                            seed=args.seed)
+                            max_epochs=args.iters, seed=args.seed)
         pcfg = PenaltyConfig(mode=args.mode, target=args.target, c=args.c,
                              delta=args.delta, batch_size=args.batch,
                              max_iters=args.iters, seed=args.seed)

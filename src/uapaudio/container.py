@@ -81,6 +81,8 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         flat = np.frombuffer(data[offset : offset + 4 * count], dtype="<f4")
         if flat.size != count:
             raise FormatError(f"truncated blob {entry['name']!r} in {path}")
+        if not np.isfinite(flat).all():
+            raise FormatError(f"non-finite values in blob {entry['name']!r} in {path}")
         # parameters are stored f32 but all computation is float64
         blobs[entry["name"]] = flat.astype(np.float64).reshape(shape)
         offset += 4 * count

@@ -62,13 +62,16 @@ class Conv1D:
         y = np.tensordot(windows, self.weight, axes=([2, 3], [1, 2])) + self.bias
         return y, (x.shape, windows)
 
-    def backward(self, cache: tuple, dy: np.ndarray, want_params: bool) -> tuple[np.ndarray, dict | None]:
+    def backward(self, cache: tuple, dy: np.ndarray, want_params: bool,
+                 want_input: bool = True) -> tuple[np.ndarray | None, dict | None]:
         (batch, length, chans), windows = cache
         filters, kernel, _ = self.weight.shape
         n_out = dy.shape[1]
-        dx = np.zeros((batch, length, chans))
-        for k in range(kernel):
-            dx[:, k : k + n_out * self.stride : self.stride, :] += dy @ self.weight[:, k, :]
+        dx = None
+        if want_input:
+            dx = np.zeros((batch, length, chans))
+            for k in range(kernel):
+                dx[:, k : k + n_out * self.stride : self.stride, :] += dy @ self.weight[:, k, :]
         grads = None
         if want_params:
             dw = np.tensordot(dy, windows, axes=([0, 1], [0, 1]))  # (filters, kernel, in_ch)
@@ -156,8 +159,9 @@ class Dense:
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x @ self.weight + self.bias, x
 
-    def backward(self, cache: np.ndarray, dy: np.ndarray, want_params: bool) -> tuple[np.ndarray, dict | None]:
-        dx = dy @ self.weight.T
+    def backward(self, cache: np.ndarray, dy: np.ndarray, want_params: bool,
+                 want_input: bool = True) -> tuple[np.ndarray | None, dict | None]:
+        dx = dy @ self.weight.T if want_input else None
         grads = {"weight": cache.T @ dy, "bias": dy.sum(axis=0)} if want_params else None
         return dx, grads
 
@@ -204,12 +208,20 @@ class VictimModel:
         return dh[:, :, 0]
 
     def backward_params(self, caches: list, dlogits: np.ndarray) -> list[dict | None]:
-        dh = dlogits
+        """Gradients of the trainable layers' parameters; None for the other layers.
+
+        The reverse pass stops at the lowest trainable layer, which computes no
+        input gradient: nothing below it has a parameter to update.
+        """
+        trainable = [i for i, layer in enumerate(self.layers) if layer.params() and not layer.frozen]
         grads: list[dict | None] = [None] * len(self.layers)
-        for i in range(len(self.layers) - 1, -1, -1):
-            want = bool(self.layers[i].params()) and not self.layers[i].frozen
-            dh, g = self.layers[i].backward(caches[i], dh, want_params=want)
-            grads[i] = g
+        if not trainable:
+            return grads
+        dh = dlogits
+        for i in range(len(self.layers) - 1, trainable[0], -1):
+            dh, grads[i] = self.layers[i].backward(caches[i], dh, want_params=i in trainable)
+        _, grads[trainable[0]] = self.layers[trainable[0]].backward(
+            caches[trainable[0]], dh, want_params=True, want_input=False)
         return grads
 
     def logits(self, x: np.ndarray) -> np.ndarray:
@@ -374,24 +386,27 @@ def load_model(path: str | Path) -> VictimModel:
     manifest, blobs = read_container(path)
     if manifest.get("kind") != "victim-model":
         raise FormatError(f"not a model checkpoint: {path}")
-    layers = []
-    for i, spec in enumerate(manifest["layers"]):
-        kind = spec["type"]
-        if kind not in _LAYER_KINDS:
-            raise FormatError(f"unknown layer type {kind!r}")
-        if kind == "conv1d":
-            layers.append(Conv1D(blobs[f"layer{i}.weight"], blobs[f"layer{i}.bias"],
-                                 stride=spec["stride"], frozen=spec["frozen"]))
-        elif kind == "dense":
-            layers.append(Dense(blobs[f"layer{i}.weight"], blobs[f"layer{i}.bias"], frozen=spec["frozen"]))
-        elif kind == "maxpool1d":
-            layers.append(MaxPool1D(spec["width"]))
-        elif kind == "relu":
-            layers.append(ReLU())
-        else:
-            layers.append(Flatten())
-    return VictimModel(layers, manifest["input_dim"], manifest["num_classes"], arch=manifest["arch"],
-                       seed=manifest.get("seed"), sample_rate=manifest.get("sample_rate", 16000))
+    try:
+        layers = []
+        for i, spec in enumerate(manifest["layers"]):
+            kind = spec["type"]
+            if kind not in _LAYER_KINDS:
+                raise FormatError(f"unknown layer type {kind!r}")
+            if kind == "conv1d":
+                layers.append(Conv1D(blobs[f"layer{i}.weight"], blobs[f"layer{i}.bias"],
+                                     stride=spec["stride"], frozen=spec["frozen"]))
+            elif kind == "dense":
+                layers.append(Dense(blobs[f"layer{i}.weight"], blobs[f"layer{i}.bias"], frozen=spec["frozen"]))
+            elif kind == "maxpool1d":
+                layers.append(MaxPool1D(spec["width"]))
+            elif kind == "relu":
+                layers.append(ReLU())
+            else:
+                layers.append(Flatten())
+        return VictimModel(layers, manifest["input_dim"], manifest["num_classes"], arch=manifest["arch"],
+                           seed=manifest.get("seed"), sample_rate=manifest.get("sample_rate", 16000))
+    except KeyError as exc:
+        raise FormatError(f"model checkpoint {path} has no entry {exc}") from exc
 
 
 # -- training ------------------------------------------------------------------

@@ -100,15 +100,18 @@ def load_perturbation(path: str | Path) -> Perturbation:
     manifest, blobs = read_container(path)
     if manifest.get("kind") != "perturbation":
         raise FormatError(f"not a perturbation file: {path}")
-    return Perturbation(
-        v_signal=blobs["v_signal"],
-        method=manifest["method"],
-        mode=manifest["mode"],
-        v_tanh=blobs.get("v_tanh"),
-        target=manifest.get("target"),
-        p=_decode_p(manifest.get("p")),
-        xi=manifest.get("xi"),
-        seed=manifest.get("seed"),
-        train_asr=manifest.get("train_asr"),
-        params=manifest.get("params", {}),
-    )
+    try:
+        return Perturbation(
+            v_signal=blobs["v_signal"],
+            method=manifest["method"],
+            mode=manifest["mode"],
+            v_tanh=blobs.get("v_tanh"),
+            target=manifest.get("target"),
+            p=_decode_p(manifest.get("p")),
+            xi=manifest.get("xi"),
+            seed=manifest.get("seed"),
+            train_asr=manifest.get("train_asr"),
+            params=manifest.get("params", {}),
+        )
+    except KeyError as exc:
+        raise FormatError(f"perturbation file {path} has no entry {exc}") from exc

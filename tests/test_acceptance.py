@@ -264,8 +264,9 @@ def test_criterion_8_loudness_anchor():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    """The same seeded CLI pipeline run twice produces byte-identical
-    artifacts: dataset files, checkpoints, perturbations, reports."""
+    """The same seeded CLI pipeline run twice, in two directories, produces
+    byte-identical artifacts: dataset files, checkpoints, perturbations,
+    reports and run manifests."""
     def run_pipeline(root):
         root.mkdir()
         data, model = root / "data", root / "victim.uapc"
@@ -289,7 +290,9 @@ def test_criterion_9_cli_determinism(tmp_path):
 
     artifacts = ["data/labels.csv", "data/manifest.json", "data/train_00_00000.wav",
                  "data/test_01_00006.wav", "victim.uapc", "greedy.uapc",
-                 "penalty.uapc", "greedy.csv", "penalty.csv"]
+                 "penalty.uapc", "greedy.csv", "penalty.csv",
+                 "data/run.json", "victim.uapc.run.json", "greedy.uapc.run.json",
+                 "penalty.uapc.run.json", "greedy.csv.run.json", "penalty.csv.run.json"]
     for rel in artifacts:
         first = (tmp_path / "first" / rel).read_bytes()
         second = (tmp_path / "second" / rel).read_bytes()

@@ -33,11 +33,13 @@ class TestPipeline:
         run = json.loads((data / "run.json").read_text())
         assert run["command"] == "gen-data"
         assert run["args"]["classes"] == 2 and "func" not in run["args"]
+        assert run["args"]["out"] == "."  # paths are relative to the manifest
         assert run["versions"]["uapaudio"] == uapaudio.__version__
 
     def test_train_manifest_reports_accuracy(self, workspace):
         run = json.loads((workspace / "victim.uapc.run.json").read_text())
         assert run["command"] == "train-victim"
+        assert (run["args"]["data"], run["args"]["out"]) == ("data", "victim.uapc")
         assert run["result"]["train_accuracy"] >= 0.9
         assert 0.0 <= run["result"]["test_accuracy"] <= 1.0
 
@@ -97,6 +99,24 @@ class TestPipeline:
         assert lines[0].startswith("method,m,")
         assert len(lines) == 5  # two methods x two sizes
 
+    def test_sweep_datacount_iters_caps_greedy(self, workspace, monkeypatch):
+        import uapaudio.evaluation as evaluation
+
+        greedy_uap, epochs = evaluation.greedy_uap, []
+
+        def spy(model, x, cfg):
+            result = greedy_uap(model, x, cfg)
+            epochs.append((cfg.max_epochs, len(result.asr_trace) - 1))
+            return result
+
+        monkeypatch.setattr(evaluation, "greedy_uap", spy)
+        rc = main(["sweep", "datacount", "--model", str(workspace / "victim.uapc"),
+                   "--data", str(workspace / "data"), "--grid", "4,8",
+                   "--c", "20", "--iters", "1", "--out", str(workspace / "mcount1.csv")])
+        assert rc == 0
+        assert [cap for cap, _ in epochs] == [1, 1]
+        assert all(ran <= 1 for _, ran in epochs)
+
     def test_transfer(self, workspace):
         rc = main(["train-victim", "--arch", "linear", "--data", str(workspace / "data"),
                    "--epochs", "40", "--lr", "0.01", "--batch", "8", "--seed", "1",
@@ -111,6 +131,8 @@ class TestPipeline:
         lines = out.read_text().splitlines()
         assert lines[0] == "source\\victim,victim,victim2"
         assert len(lines) == 3
+        run = json.loads((workspace / "transfer.csv.run.json").read_text())
+        assert run["args"]["models"] == "victim.uapc,victim2.uapc"
 
     def test_ztest_output(self, capsys):
         assert main(["ztest", "--pl", "0.672", "--ph", "0.854", "--m", "874"]) == 0
@@ -145,6 +167,20 @@ class TestErrors:
                    "--report", str(workspace / "r.csv")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_checkpoint_missing_blob(self, workspace, capsys):
+        from uapaudio.container import read_container, write_container
+
+        manifest, blobs = read_container(workspace / "victim.uapc")
+        del blobs["layer1.weight"]
+        write_container(workspace / "broken.uapc", manifest, blobs)
+        rc = main(["evaluate", "--model", str(workspace / "broken.uapc"),
+                   "--data", str(workspace / "data"),
+                   "--pert", str(workspace / "greedy.uapc"),
+                   "--report", str(workspace / "r.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "layer1.weight" in err
 
     def test_invalid_generation_arguments(self, tmp_path, capsys):
         rc = main(["gen-data", "--classes", "1", "--per-class", "3", "--dim", "256",

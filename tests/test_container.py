@@ -186,3 +186,22 @@ class TestPerturbation:
         write_container(f, {"kind": "checkpoint"}, {"v_signal": np.zeros(4)})
         with pytest.raises(FormatError):
             load_perturbation(f)
+
+    @pytest.mark.parametrize("defect", ["no-method", "no-mode", "no-signal", "nan-signal", "inf-tanh"])
+    def test_malformed_file_is_format_error(self, defect, tmp_path, rng):
+        f = tmp_path / "p.uapc"
+        save_perturbation(self._make(rng), f)
+        manifest, blobs = read_container(f)
+        if defect == "no-method":
+            del manifest["method"]
+        elif defect == "no-mode":
+            del manifest["mode"]
+        elif defect == "no-signal":
+            del blobs["v_signal"]
+        elif defect == "nan-signal":
+            blobs["v_signal"][3] = np.nan
+        else:
+            blobs["v_tanh"][0] = np.inf
+        write_container(f, manifest, blobs)
+        with pytest.raises(FormatError):
+            load_perturbation(f)

@@ -128,6 +128,47 @@ class TestInputGradient:
                 assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
+class TestBackwardParams:
+    @staticmethod
+    def _batch(arch, rng):
+        model = build_victim(arch, 1024, 3, seed=4)
+        _, caches = model.forward_cached(rng.uniform(0, 1, (4, 1024)))
+        return model, caches, rng.normal(size=(4, 3))
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_matches_full_reverse_pass(self, arch, rng):
+        model, caches, dlogits = self._batch(arch, rng)
+        # reference: every layer's backward, input gradient included
+        dh, expected = dlogits, [None] * len(model.layers)
+        for i in range(len(model.layers) - 1, -1, -1):
+            layer = model.layers[i]
+            dh, expected[i] = layer.backward(caches[i], dh,
+                                             want_params=bool(layer.params()) and not layer.frozen)
+        got = model.backward_params(caches, dlogits)
+        assert [g is None for g in got] == [g is None for g in expected]
+        for g, e in zip(got, expected):
+            if e is not None:
+                assert g.keys() == e.keys()
+                assert all(np.array_equal(g[k], e[k]) for k in e)
+
+    @pytest.mark.parametrize("arch, calls", [("rand-cnn", 1), ("gamma-cnn", 0), ("linear", 0)])
+    def test_first_layer_computes_no_input_gradient(self, arch, calls, rng, monkeypatch):
+        model, caches, dlogits = self._batch(arch, rng)
+        first, returned = model.layers[0], []
+        original = first.backward
+
+        def spy(*args, **kwargs):
+            dx, grads = original(*args, **kwargs)
+            returned.append(dx)
+            return dx, grads
+
+        # frozen or parameter-free first layers (gamma-cnn, linear's Flatten) are never called
+        monkeypatch.setattr(first, "backward", spy)
+        model.backward_params(caches, dlogits)
+        assert len(returned) == calls
+        assert all(dx is None for dx in returned)
+
+
 class TestTraining:
     def test_linear_separable_problem(self):
         ds = generate_synthetic_dataset(2, 40, 128, seed=5, test_per_class=10)
@@ -197,6 +238,25 @@ class TestCheckpoints:
 
         f = tmp_path / "x.uapc"
         write_container(f, {"kind": "perturbation"}, {"v_signal": rng.normal(size=8)})
+        with pytest.raises(FormatError):
+            load_model(f)
+
+    @pytest.mark.parametrize("defect", ["no-layers", "no-weight", "nan-weight", "inf-bias"])
+    def test_malformed_checkpoint_is_format_error(self, defect, tmp_path):
+        from uapaudio.container import read_container, write_container
+
+        f = tmp_path / "m.uapc"
+        save_model(build_victim("rand-cnn", 1024, 3, seed=4), f)
+        manifest, blobs = read_container(f)
+        if defect == "no-layers":
+            del manifest["layers"]
+        elif defect == "no-weight":
+            del blobs["layer0.weight"]
+        elif defect == "nan-weight":
+            blobs["layer3.weight"][0, 0, 0] = np.nan
+        else:
+            blobs["layer9.bias"][-1] = -np.inf
+        write_container(f, manifest, blobs)
         with pytest.raises(FormatError):
             load_model(f)
 
