@@ -56,10 +56,7 @@ from .models import (
     VictimModel,
     accuracy,
     build_victim,
-    forward_logits,
-    input_gradient,
     load_model,
-    predict,
     save_model,
     train,
 )
@@ -121,12 +118,10 @@ __all__ = [
     "datacount_sweep_rows",
     "ddn_minimal_perturbation",
     "evaluate_uap",
-    "forward_logits",
     "generate_synthetic_dataset",
     "greedy_uap",
     "hinge_targeted",
     "hinge_untargeted",
-    "input_gradient",
     "load_dataset_dir",
     "load_model",
     "load_perturbation",
@@ -134,7 +129,6 @@ __all__ = [
     "penalty_loss",
     "penalty_uap",
     "perturbed_sample",
-    "predict",
     "project_lp",
     "recover_vprime",
     "rel_loudness",

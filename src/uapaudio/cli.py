@@ -22,6 +22,7 @@ from .data import generate_synthetic_dataset, load_dataset_dir, save_dataset_dir
 from .evaluation import (
     DATACOUNT_GRID,
     KAPPA_GRID,
+    _seeded_subset,
     confidence_sweep_rows,
     datacount_sweep_rows,
     evaluate_uap,
@@ -95,12 +96,18 @@ def _parse_grid(text: str) -> list[float]:
         raise InvalidInputError(f"bad grid {text!r}") from exc
 
 
+def _warn_unconverged(result, method: str, model_path: str) -> None:
+    if not result.converged:
+        print(f"warning: {method} craft on {model_path} did not converge "
+              f"(train_asr={result.perturbation.train_asr:.4f})", file=sys.stderr)
+
+
 def _craft_subset(x: np.ndarray, y: np.ndarray, m: int | None, seed: int):
     if m is None or m >= x.shape[0]:
         return x, y
     if m < 1:
         raise InvalidInputError("crafting subset size must be >= 1")
-    idx = np.sort(np.random.default_rng(seed).permutation(x.shape[0])[:m])
+    idx = _seeded_subset(x.shape[0], m, seed)
     return x[idx], y[idx]
 
 
@@ -151,7 +158,6 @@ def _cmd_craft(args: argparse.Namespace) -> int:
             xi=args.xi, delta=args.delta,
             max_epochs=args.iters if args.iters is not None else 100, seed=args.seed)
         result = greedy_uap(model, x, cfg)
-        trace = result.asr_trace
     else:
         project = (2.0, args.project_l2) if args.project_l2 is not None else None
         cfg = PenaltyConfig(
@@ -160,13 +166,13 @@ def _cmd_craft(args: argparse.Namespace) -> int:
             max_iters=args.iters if args.iters is not None else 100,
             seed=args.seed, project=project)
         result = penalty_uap(model, x, y, cfg)
-        trace = result.asr_trace
+    _warn_unconverged(result, args.method, args.model)
 
     out = Path(args.out)
     save_perturbation(result.perturbation, out)
     _write_run_manifest(out, "craft", args, extra={
         "config": _jsonable(cfg), "converged": result.converged,
-        "train_asr": result.perturbation.train_asr, "iterations": len(trace) - 1})
+        "train_asr": result.perturbation.train_asr, "iterations": len(result.asr_trace) - 1})
     print(f"wrote {out}: method={args.method} mode={args.mode} "
           f"train_asr={result.perturbation.train_asr:.4f} converged={result.converged}")
     return 0
@@ -227,13 +233,13 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
     testset = dataset.arrays("test")
 
     perts = []
-    for model in models:
+    for model, path in zip(models, paths):
         if args.method == "greedy":
-            cfg = GreedyConfig(mode=args.mode, target=args.target, seed=args.seed)
-            perts.append(greedy_uap(model, x, cfg).perturbation)
+            result = greedy_uap(model, x, GreedyConfig(mode=args.mode, target=args.target, seed=args.seed))
         else:
-            cfg = PenaltyConfig(mode=args.mode, target=args.target, seed=args.seed)
-            perts.append(penalty_uap(model, x, y, cfg).perturbation)
+            result = penalty_uap(model, x, y, PenaltyConfig(mode=args.mode, target=args.target, seed=args.seed))
+        _warn_unconverged(result, args.method, path)
+        perts.append(result.perturbation)
 
     labels = [Path(p).stem for p in paths]
     if len(set(labels)) != len(labels):  # stems may collide; fall back to full paths

@@ -73,9 +73,15 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         manifest = json.loads(data[offset : offset + length].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"corrupt container manifest: {path}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"container manifest is not a JSON object: {path}")
     offset += length
     blobs: dict[str, np.ndarray] = {}
     for entry in manifest.get("blobs", []):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
+            raise FormatError(f"malformed blob entry {entry!r} in {path}")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         flat = np.frombuffer(data[offset : offset + 4 * count], dtype="<f4")

@@ -137,17 +137,27 @@ def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"missing or corrupt dataset manifest in {in_dir}") from exc
+    try:
+        dim, num_classes, sample_rate = (int(manifest[k]) for k in ("dim", "num_classes", "sample_rate"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"dataset manifest in {in_dir} needs integer dim, num_classes and sample_rate") from exc
     header, rows = read_csv(root / "labels.csv")
     if header != ["filename", "label", "split"]:
         raise FormatError("labels.csv must have columns filename,label,split")
     splits: dict[str, list[AudioSample]] = {name: [] for name in SPLITS}
-    for fname, label, split in rows:
+    for row in rows:
+        if len(row) != 3:
+            raise FormatError(f"labels.csv row {row!r} needs 3 fields")
+        fname, label, split = row
         if split not in SPLITS:
             raise FormatError(f"unknown split tag {split!r} in labels.csv")
+        try:
+            label = int(label)
+        except ValueError as exc:
+            raise FormatError(f"labels.csv: label {label!r} of {fname} is not an integer") from exc
         loaded = load_wav(root / fname)
-        if len(loaded) != manifest["dim"]:
-            raise FormatError(f"{fname}: length {len(loaded)} != dataset dim {manifest['dim']}")
-        splits[split].append(AudioSample(loaded.samples, sample_rate=loaded.sample_rate, label=int(label)))
-    return SyntheticDataset(splits["train"], splits["val"], splits["test"],
-                            num_classes=int(manifest["num_classes"]), dim=int(manifest["dim"]),
-                            sample_rate=int(manifest["sample_rate"]), seed=manifest.get("seed"))
+        if len(loaded) != dim:
+            raise FormatError(f"{fname}: length {len(loaded)} != dataset dim {dim}")
+        splits[split].append(AudioSample(loaded.samples, sample_rate=loaded.sample_rate, label=label))
+    return SyntheticDataset(splits["train"], splits["val"], splits["test"], num_classes=num_classes,
+                            dim=dim, sample_rate=sample_rate, seed=manifest.get("seed"))

@@ -14,7 +14,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .models import VictimModel, softmax
+from .models import VictimModel, cross_entropy_grad
+
+
+def check_mode(mode: str, target: int | None) -> None:
+    """Reject an unknown attack mode, and a targeted attack without a target class."""
+    if mode not in ("untargeted", "targeted"):
+        raise InvalidInputError("mode must be 'untargeted' or 'targeted'")
+    if mode == "targeted" and target is None:
+        raise InvalidInputError("targeted attack needs a target class")
+
+
+def fooled(preds, mode: str, target: int | None = None, reference=None):
+    """Attack success of perturbed predictions, elementwise.
+
+    Targeted: the prediction is the target class. Untargeted: it differs from
+    reference, the class (or per-sample classes) the attack has to escape.
+    """
+    if mode == "targeted":
+        if target is None:
+            raise InvalidInputError("targeted attack needs a target class")
+        return preds == target
+    return preds != reference
 
 
 @dataclass
@@ -34,10 +55,7 @@ class InnerAttackConfig:
             raise InvalidInputError("init_norm must be positive")
         if not 0.0 < self.gamma < 1.0:
             raise InvalidInputError("gamma must lie in (0, 1)")
-        if self.mode not in ("untargeted", "targeted"):
-            raise InvalidInputError("mode must be 'untargeted' or 'targeted'")
-        if self.mode == "targeted" and self.target is None:
-            raise InvalidInputError("targeted attack needs a target class")
+        check_mode(self.mode, self.target)
 
 
 @dataclass
@@ -46,10 +64,6 @@ class InnerAttackResult:
     success: bool
     l2_norm: float
     radius_trace: np.ndarray  # initial radius followed by one entry per step
-
-
-def _satisfied(pred: int, mode: str, reference: int) -> bool:
-    return pred == reference if mode == "targeted" else pred != reference
 
 
 def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttackConfig,
@@ -78,16 +92,14 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
             * (1.0 + np.cos(np.pi * k / cfg.steps))
         point = np.clip(x + delta, 0.0, 1.0)
         logits, caches = model.forward_cached(point)
-        is_adv = _satisfied(int(np.argmax(logits[0])), cfg.mode, reference_class)
+        is_adv = fooled(int(np.argmax(logits[0])), cfg.mode, reference_class, reference_class)
         if is_adv:
             norm = float(np.linalg.norm(delta))
             if norm < best_norm:
                 best, best_norm = delta.copy(), norm
 
         # cross-entropy gradient about the reference class at the current point
-        dlogits = softmax(logits[0])
-        dlogits[reference_class] -= 1.0
-        grad = model.backward_input(caches, dlogits[None])[0]
+        grad = model.backward_input(caches, cross_entropy_grad(logits, [reference_class]))[0]
         gnorm = float(np.linalg.norm(grad))
         if gnorm > 0.0:
             step = (alpha / gnorm) * grad
@@ -101,7 +113,7 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
 
     # the final projected iterate was never evaluated inside the loop
     final_pred = int(model.predict(np.clip(x + delta, 0.0, 1.0)))
-    if _satisfied(final_pred, cfg.mode, reference_class):
+    if fooled(final_pred, cfg.mode, reference_class, reference_class):
         norm = float(np.linalg.norm(delta))
         if norm < best_norm:
             best, best_norm = delta.copy(), norm

@@ -10,7 +10,6 @@ clip(x + v) - x for the greedy method.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import NormalDist
@@ -19,11 +18,12 @@ import numpy as np
 
 from .audio import rel_loudness, snr
 from .container import fmt_float, write_csv
+from .ddn import check_mode, fooled
 from .exceptions import DegenerateVarianceError, InvalidInputError, UndefinedMetricError
 from .greedy import GreedyConfig, greedy_uap
 from .models import VictimModel
 from .penalty import PenaltyConfig, penalty_uap
-from .perturbation import Perturbation
+from .perturbation import Perturbation, _encode_p
 from .tanhspace import TANH_EPSILON, perturbed_sample, to_tanh_space
 
 DEFAULT_ALPHA = 0.057
@@ -52,7 +52,6 @@ class EvalReport:
     mean_l_db: float
     rows: list[EvalRow]
     config: dict = field(default_factory=dict)
-    wall_clock: float = 0.0  # seconds; informational, never written to artifacts
 
 
 @dataclass
@@ -89,7 +88,6 @@ def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
     labels y only have to line up with X (they stay in the report rows'
     implicit order and are not consulted otherwise).
     """
-    started = time.perf_counter()
     x, y = testset
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] == 0:
@@ -97,18 +95,11 @@ def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
     if y is not None and len(y) != x.shape[0]:
         raise InvalidInputError("labels must align with samples")
     mode = mode or pert.mode
-    if mode not in ("untargeted", "targeted"):
-        raise InvalidInputError("mode must be 'untargeted' or 'targeted'")
-    if mode == "targeted" and pert.target is None:
-        raise InvalidInputError("targeted evaluation needs a perturbation with a target")
+    check_mode(mode, pert.target)
 
     applied = applied_perturbation(x, pert)
     clean_preds = model.predict(x)
     adv_preds = model.predict(x + applied)
-    if mode == "targeted":
-        fooled = adv_preds == pert.target
-    else:
-        fooled = adv_preds != clean_preds
 
     rows = []
     for i in range(x.shape[0]):
@@ -124,14 +115,12 @@ def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
     finite_l = l_dbs[np.isfinite(l_dbs)]
     return EvalReport(
         mode=mode, method=pert.method, train_asr=pert.train_asr,
-        test_asr=float(np.mean(fooled)),
+        test_asr=float(np.mean(fooled(adv_preds, mode, pert.target, clean_preds))),
         mean_snr_db=float(np.mean(snrs)),
         mean_l_db=float(np.mean(finite_l)) if finite_l.size else float("nan"),
         rows=rows,
         config={"method": pert.method, "mode": mode, "target": pert.target,
-                "p": ("inf" if pert.p is not None and np.isinf(pert.p) else pert.p),
-                "xi": pert.xi, "seed": pert.seed, "params": dict(pert.params)},
-        wall_clock=time.perf_counter() - started,
+                "p": _encode_p(pert.p), "xi": pert.xi, "seed": pert.seed, "params": dict(pert.params)},
     )
 
 

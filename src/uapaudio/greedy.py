@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddn import InnerAttackConfig, ddn_minimal_perturbation
+from .ddn import InnerAttackConfig, check_mode, ddn_minimal_perturbation, fooled
 from .exceptions import InvalidInputError
 from .models import VictimModel
 from .perturbation import Perturbation
@@ -31,10 +31,7 @@ class GreedyConfig:
     inner: InnerAttackConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("untargeted", "targeted"):
-            raise InvalidInputError("mode must be 'untargeted' or 'targeted'")
-        if self.mode == "targeted" and self.target is None:
-            raise InvalidInputError("targeted crafting needs a target class")
+        check_mode(self.mode, self.target)
         if not (self.p == 2 or np.isinf(self.p)):
             raise InvalidInputError("norm order must be 2 or inf")
         if not 0.0 < self.delta <= 1.0:
@@ -84,13 +81,9 @@ def asr(model: VictimModel, x: np.ndarray, v: np.ndarray, mode: str,
     if x.shape[0] == 0:
         raise InvalidInputError("empty sample set")
     preds = model.predict(np.clip(x + v, 0.0, 1.0))
-    if mode == "targeted":
-        if target is None:
-            raise InvalidInputError("targeted rate needs a target class")
-        return float(np.mean(preds == target))
-    if reference is None:
+    if mode != "targeted" and reference is None:
         reference = model.predict(x)
-    return float(np.mean(preds != reference))
+    return float(np.mean(fooled(preds, mode, target, reference)))
 
 
 def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyResult:
@@ -111,9 +104,7 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyRe
     while trace[-1] < 1.0 - cfg.delta and epochs < cfg.max_epochs:
         for i in rng.permutation(m):
             point = np.clip(x[i] + v, 0.0, 1.0)
-            pred = int(model.predict(point))
-            fooled = pred == cfg.target if cfg.mode == "targeted" else pred != clean_preds[i]
-            if fooled:
+            if fooled(int(model.predict(point)), cfg.mode, cfg.target, clean_preds[i]):
                 continue
             reference = cfg.target if cfg.mode == "targeted" else int(clean_preds[i])
             result = ddn_minimal_perturbation(model, point, cfg.inner, reference_class=reference)

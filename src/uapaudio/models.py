@@ -15,7 +15,6 @@ so checkpoints (JSON manifest + little-endian f32 blob) round-trip bit-exactly.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -24,28 +23,42 @@ from .container import read_container, write_container
 from .exceptions import FormatError, InvalidInputError
 from .optim import AdamState, adam_update
 
-Head = Callable[[np.ndarray], tuple[float, np.ndarray]]
-
 
 def _f32_exact(a: np.ndarray) -> np.ndarray:
     # round once to float32 values so in-memory params equal their checkpoint
     return a.astype("<f4").astype(np.float64)
 
 
-class Conv1D:
+class _Layer:
+    """Checkpoint declaration shared by all layers.
+
+    KIND names the layer in a checkpoint, FIELDS maps each spec field to its
+    JSON type, and PARAMS lists the parameter arrays in storage order. The
+    constructor takes the parameters and fields as keyword arguments.
+    """
+
+    KIND = ""
+    FIELDS: dict[str, type] = {}
+    PARAMS: tuple[str, ...] = ()
+    frozen = True
+
+    def spec(self) -> dict:
+        return {"type": self.KIND, **{name: getattr(self, name) for name in self.FIELDS}}
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self.PARAMS}
+
+
+class Conv1D(_Layer):
     """1-D convolution over (batch, length, channels) -> (batch, out, filters)."""
+
+    KIND, FIELDS, PARAMS = "conv1d", {"stride": int, "frozen": bool}, ("weight", "bias")
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, stride: int, frozen: bool = False):
         self.weight = np.asarray(weight, dtype=np.float64)  # (filters, kernel, in_ch)
         self.bias = np.asarray(bias, dtype=np.float64)  # (filters,)
         self.stride = int(stride)
         self.frozen = frozen
-
-    def spec(self) -> dict:
-        return {"type": "conv1d", "stride": self.stride, "frozen": self.frozen}
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
 
     def out_length(self, length: int) -> int:
         return (length - self.weight.shape[1]) // self.stride + 1
@@ -79,14 +92,8 @@ class Conv1D:
         return dx, grads
 
 
-class ReLU:
-    frozen = True
-
-    def spec(self) -> dict:
-        return {"type": "relu"}
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
+class ReLU(_Layer):
+    KIND = "relu"
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # subgradient at 0 taken as 0: the mask is strict
@@ -96,17 +103,11 @@ class ReLU:
         return dy * cache, None
 
 
-class MaxPool1D:
-    frozen = True
+class MaxPool1D(_Layer):
+    KIND, FIELDS = "maxpool1d", {"width": int}
 
     def __init__(self, width: int):
         self.width = int(width)
-
-    def spec(self) -> dict:
-        return {"type": "maxpool1d", "width": self.width}
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         batch, length, chans = x.shape
@@ -128,14 +129,8 @@ class MaxPool1D:
         return dx, None
 
 
-class Flatten:
-    frozen = True
-
-    def spec(self) -> dict:
-        return {"type": "flatten"}
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
+class Flatten(_Layer):
+    KIND = "flatten"
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         return x.reshape(x.shape[0], -1), x.shape
@@ -144,17 +139,13 @@ class Flatten:
         return dy.reshape(cache), None
 
 
-class Dense:
+class Dense(_Layer):
+    KIND, FIELDS, PARAMS = "dense", {"frozen": bool}, ("weight", "bias")
+
     def __init__(self, weight: np.ndarray, bias: np.ndarray, frozen: bool = False):
         self.weight = np.asarray(weight, dtype=np.float64)  # (in, out)
         self.bias = np.asarray(bias, dtype=np.float64)  # (out,)
         self.frozen = frozen
-
-    def spec(self) -> dict:
-        return {"type": "dense", "frozen": self.frozen}
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x @ self.weight + self.bias, x
@@ -166,7 +157,7 @@ class Dense:
         return dx, grads
 
 
-_LAYER_KINDS = {"conv1d": Conv1D, "relu": ReLU, "maxpool1d": MaxPool1D, "flatten": Flatten, "dense": Dense}
+_LAYER_KINDS = {cls.KIND: cls for cls in (Conv1D, ReLU, MaxPool1D, Flatten, Dense)}
 
 
 class VictimModel:
@@ -248,50 +239,20 @@ class VictimModel:
         return np.concatenate(arrays) if arrays else np.zeros(0)
 
 
-def forward_logits(model: VictimModel, x: np.ndarray) -> np.ndarray:
-    return model.logits(x)
-
-
-def predict(model: VictimModel, x: np.ndarray) -> int | np.ndarray:
-    return model.predict(x)
-
-
-def input_gradient(model: VictimModel, x: np.ndarray, scalar_head: Head) -> np.ndarray:
-    """Exact reverse-mode gradient of scalar_head(logits) w.r.t. the input.
-
-    scalar_head maps a logit vector (C,) to (value, dvalue/dlogits).
-    """
-    logits, caches = model.forward_cached(x)
-    _, dlogits = scalar_head(logits[0])
-    return model.backward_input(caches, np.asarray(dlogits, dtype=np.float64)[None, :])[0]
-
-
-def logit_head(index: int) -> Head:
-    def head(logits: np.ndarray) -> tuple[float, np.ndarray]:
-        grad = np.zeros_like(logits)
-        grad[index] = 1.0
-        return float(logits[index]), grad
-
-    return head
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     zm = z - z.max(axis=-1, keepdims=True)
     e = np.exp(zm)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy_head(ref: int) -> Head:
-    """Negative log-softmax probability of class ref."""
+def cross_entropy_grad(logits: np.ndarray, labels) -> np.ndarray:
+    """Gradient of -log softmax(logits)[label] w.r.t. the logits, row by row.
 
-    def head(logits: np.ndarray) -> tuple[float, np.ndarray]:
-        p = softmax(logits)
-        grad = p.copy()
-        grad[ref] -= 1.0
-        value = float(-np.log(max(p[ref], 1e-300)))
-        return value, grad
-
-    return head
+    logits is (batch, classes) and labels holds one class per row.
+    """
+    grad = softmax(logits)
+    grad[np.arange(len(labels)), labels] -= 1.0
+    return grad
 
 
 # -- registry ----------------------------------------------------------------
@@ -389,20 +350,14 @@ def load_model(path: str | Path) -> VictimModel:
     try:
         layers = []
         for i, spec in enumerate(manifest["layers"]):
-            kind = spec["type"]
-            if kind not in _LAYER_KINDS:
-                raise FormatError(f"unknown layer type {kind!r}")
-            if kind == "conv1d":
-                layers.append(Conv1D(blobs[f"layer{i}.weight"], blobs[f"layer{i}.bias"],
-                                     stride=spec["stride"], frozen=spec["frozen"]))
-            elif kind == "dense":
-                layers.append(Dense(blobs[f"layer{i}.weight"], blobs[f"layer{i}.bias"], frozen=spec["frozen"]))
-            elif kind == "maxpool1d":
-                layers.append(MaxPool1D(spec["width"]))
-            elif kind == "relu":
-                layers.append(ReLU())
-            else:
-                layers.append(Flatten())
+            cls = _LAYER_KINDS.get(spec.get("type")) if isinstance(spec, dict) else None
+            if cls is None:
+                raise FormatError(f"model checkpoint {path}: layer {i} has unknown spec {spec!r}")
+            fields = {k: v for k, v in spec.items() if k != "type"}
+            if {k: type(v) for k, v in fields.items()} != cls.FIELDS:
+                raise FormatError(f"model checkpoint {path}: layer {i} spec {spec!r} does not match "
+                                  f"the {cls.KIND} fields {list(cls.FIELDS)}")
+            layers.append(cls(**{p: blobs[f"layer{i}.{p}"] for p in cls.PARAMS}, **fields))
         return VictimModel(layers, manifest["input_dim"], manifest["num_classes"], arch=manifest["arch"],
                            seed=manifest.get("seed"), sample_rate=manifest.get("sample_rate", 16000))
     except KeyError as exc:
@@ -433,14 +388,13 @@ def train(model: VictimModel, dataset, epochs: int = 20, *, lr: float = 1e-3,
     states: dict[tuple[int, str], AdamState] = {}
     history: dict[str, list[float]] = {"train_accuracy": [], "val_accuracy": []}
     n = x_train.shape[0]
-    onehot = np.eye(model.num_classes)[y_train]
 
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             logits, caches = model.forward_cached(x_train[batch])
-            dlogits = (softmax(logits) - onehot[batch]) / batch.size
+            dlogits = cross_entropy_grad(logits, y_train[batch]) / batch.size
             grads = model.backward_params(caches, dlogits)
             for i, layer_grads in enumerate(grads):
                 if not layer_grads:

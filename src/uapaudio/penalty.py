@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import POWER_FLOOR, rms_power, spl
+from .ddn import check_mode, fooled
 from .exceptions import InvalidInputError
 from .greedy import project_lp
 from .models import VictimModel
 from .optim import AdamState, adam_update
-from .perturbation import Perturbation
+from .perturbation import Perturbation, _encode_p
 from .tanhspace import TANH_EPSILON, perturbed_sample, recover_vprime, render_signal_v, to_tanh_space
 
 _LOG10_SCALE = 20.0 / np.log(10.0)
@@ -51,10 +52,7 @@ class PenaltyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("untargeted", "targeted"):
-            raise InvalidInputError("mode must be 'untargeted' or 'targeted'")
-        if self.mode == "targeted" and self.target is None:
-            raise InvalidInputError("targeted crafting needs a target class")
+        check_mode(self.mode, self.target)
         if self.c is None:
             self.c = 0.2 if self.mode == "untargeted" else 0.15
         if self.kappa is None:
@@ -88,24 +86,22 @@ class PenaltyResult:
 
 def hinge_targeted(logits: np.ndarray, target: int, kappa: float) -> float:
     """max(best-other logit - target logit, -kappa); zero iff target on top at kappa=0."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size < 2:
-        raise InvalidInputError("need a logit vector with at least 2 classes")
-    if not 0 <= target < logits.size:
-        raise InvalidInputError("target class out of range")
-    others = np.delete(logits, target)
-    return float(max(others.max() - logits[target], -kappa))
+    return _hinge_row(logits, target, kappa, "targeted")
 
 
 def hinge_untargeted(logits: np.ndarray, label: int, kappa: float) -> float:
     """max(label logit - best-other logit, -kappa); zero iff label dethroned at kappa=0."""
+    return _hinge_row(logits, label, kappa, "untargeted")
+
+
+def _hinge_row(logits: np.ndarray, ref: int, kappa: float, mode: str) -> float:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1 or logits.size < 2:
         raise InvalidInputError("need a logit vector with at least 2 classes")
-    if not 0 <= label < logits.size:
-        raise InvalidInputError("label out of range")
-    others = np.delete(logits, label)
-    return float(max(logits[label] - others.max(), -kappa))
+    if not 0 <= ref < logits.size:
+        raise InvalidInputError("reference class out of range")
+    values, _ = _hinge_batch(logits[None], np.array([ref]), kappa, mode)
+    return float(values[0])
 
 
 def _hinge_batch(logits: np.ndarray, refs: np.ndarray, kappa: float,
@@ -180,9 +176,7 @@ class _BatchStream:
 def _asr_tanh(model: VictimModel, x_tanh: np.ndarray, v_tanh: np.ndarray,
               labels: np.ndarray, mode: str, target: int | None) -> float:
     preds = model.predict(perturbed_sample(x_tanh, v_tanh))
-    if mode == "targeted":
-        return float(np.mean(preds == target))
-    return float(np.mean(preds != labels))
+    return float(np.mean(fooled(preds, mode, target, labels)))
 
 
 def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
@@ -270,7 +264,6 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
         xi=(cfg.project[1] if cfg.project else None),
         params={"c": cfg.c, "kappa": cfg.kappa, "S": cfg.batch_size, "lr": cfg.lr,
                 "epsilon": cfg.epsilon,
-                "projection": ([("inf" if np.isinf(cfg.project[0]) else cfg.project[0]),
-                                cfg.project[1]] if cfg.project else None)},
+                "projection": ([_encode_p(cfg.project[0]), cfg.project[1]] if cfg.project else None)},
     )
     return PenaltyResult(pert, asr_trace, records, converged, iteration)

@@ -134,6 +134,44 @@ class TestPipeline:
         run = json.loads((workspace / "transfer.csv.run.json").read_text())
         assert run["args"]["models"] == "victim.uapc,victim2.uapc"
 
+    def test_unconverged_craft_warns(self, workspace, capsys):
+        model = str(workspace / "victim.uapc")
+        rc = main(["craft", "--method", "penalty", "--mode", "untargeted", "--iters", "1",
+                   "--model", model, "--data", str(workspace / "data"),
+                   "--out", str(workspace / "stalled.uapc")])
+        assert rc == 0
+        assert json.loads((workspace / "stalled.uapc.run.json").read_text())["result"]["converged"] is False
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "penalty" in warnings[0] and model in warnings[0] and "train_asr=" in warnings[0]
+
+    def test_converged_craft_does_not_warn(self, workspace, capsys):
+        rc = main(["craft", "--method", "greedy", "--mode", "targeted", "--target", "1",
+                   "--model", str(workspace / "victim.uapc"), "--data", str(workspace / "data"),
+                   "--out", str(workspace / "targeted.uapc")])
+        assert rc == 0
+        assert json.loads((workspace / "targeted.uapc.run.json").read_text())["result"]["converged"] is True
+        assert "warning:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, warned", [
+        (["--method", "penalty"], ["victim.uapc", "victim2.uapc"]),  # library default c stalls
+        (["--method", "greedy", "--mode", "targeted", "--target", "1"], []),
+    ])
+    def test_transfer_warns_per_unconverged_source(self, workspace, capsys, argv, warned):
+        rc = main(["train-victim", "--arch", "linear", "--data", str(workspace / "data"),
+                   "--epochs", "40", "--lr", "0.01", "--batch", "8", "--seed", "1",
+                   "--out", str(workspace / "victim2.uapc")])
+        assert rc == 0
+        capsys.readouterr()
+        models = [str(workspace / "victim.uapc"), str(workspace / "victim2.uapc")]
+        rc = main(["transfer", "--models", ",".join(models), "--data", str(workspace / "data"),
+                   "--out", str(workspace / "warned.csv")] + argv)
+        assert rc == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == len(warned)
+        for line, name in zip(warnings, warned):
+            assert str(workspace / name) in line and argv[1] in line
+
     def test_ztest_output(self, capsys):
         assert main(["ztest", "--pl", "0.672", "--ph", "0.854", "--m", "874"]) == 0
         out = capsys.readouterr().out
@@ -181,6 +219,21 @@ class TestErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "layer1.weight" in err
+
+    def test_malformed_dataset_manifest(self, workspace, tmp_path, capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        del manifest["dim"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["craft", "--method", "greedy", "--mode", "untargeted",
+                   "--model", str(workspace / "victim.uapc"), "--data", str(data),
+                   "--out", str(tmp_path / "p.uapc")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dim" in err
 
     def test_invalid_generation_arguments(self, tmp_path, capsys):
         rc = main(["gen-data", "--classes", "1", "--per-class", "3", "--dim", "256",

@@ -116,6 +116,24 @@ class TestContainer:
         with pytest.raises(FormatError):
             read_container(f)
 
+    @pytest.mark.parametrize("manifest", [
+        {"blobs": [{"shape": [4]}]},  # no name
+        {"blobs": [{"name": "v"}]},  # no shape
+        {"blobs": [{"name": "v", "shape": ["4"]}]},  # non-integer shape
+        {"blobs": [{"name": "v", "shape": [2.0, 2]}]},
+        {"blobs": [{"name": "v", "shape": [-4]}]},
+        {"blobs": [{"name": 7, "shape": [4]}]},
+        {"blobs": ["v"]},  # entry is not an object
+        ["not", "an", "object"],
+    ], ids=["no-name", "no-shape", "str-shape", "float-shape", "negative-shape", "int-name",
+            "str-entry", "list-manifest"])
+    def test_malformed_manifest_is_format_error(self, manifest, tmp_path):
+        f = tmp_path / "t.bin"
+        payload = canonical_json(manifest) if isinstance(manifest, dict) else b'["not","an","object"]'
+        f.write_bytes(MAGIC + len(payload).to_bytes(4, "little") + payload + np.zeros(4, "<f4").tobytes())
+        with pytest.raises(FormatError):
+            read_container(f)
+
 
 class TestPerturbation:
     def _make(self, rng, **kw):

@@ -137,6 +137,22 @@ class TestDirectoryRoundTrip:
         with pytest.raises(FormatError):
             load_dataset_dir(tmp_path)
 
+    @pytest.mark.parametrize("defect", ["no-dim", "str-dim", "two-field-row", "non-integer-label"])
+    def test_malformed_files_are_format_errors(self, defect, tmp_path):
+        ds = generate_synthetic_dataset(2, 1, 256, seed=0, test_per_class=0)
+        save_dataset_dir(ds, tmp_path)
+        manifest, labels = tmp_path / "manifest.json", tmp_path / "labels.csv"
+        if defect == "no-dim":
+            manifest.write_text(manifest.read_text().replace('"dim":256,', ""))
+        elif defect == "str-dim":
+            manifest.write_text(manifest.read_text().replace('"dim":256', '"dim":"wide"'))
+        elif defect == "two-field-row":
+            labels.write_text(labels.read_text().replace(",0,train", ",0"))
+        else:
+            labels.write_text(labels.read_text().replace(",1,train", ",one,train"))
+        with pytest.raises(FormatError):
+            load_dataset_dir(tmp_path)
+
     def test_length_mismatch(self, tmp_path):
         ds = generate_synthetic_dataset(2, 1, 256, seed=0, test_per_class=0)
         save_dataset_dir(ds, tmp_path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uapaudio import InnerAttackConfig, InvalidInputError, ddn_minimal_perturbation
+from uapaudio.ddn import check_mode, fooled
 from uapaudio.models import linear_victim_from_params
 
 
@@ -33,6 +34,32 @@ class TestConfigValidation:
             ddn_minimal_perturbation(model, np.full((2, 8), 0.5), cfg)
         with pytest.raises(InvalidInputError):
             ddn_minimal_perturbation(model, np.full(8, 1.5), cfg)
+
+
+class TestSuccessPredicate:
+    def test_scalar_predictions(self):
+        assert fooled(2, "targeted", target=2) and not fooled(1, "targeted", target=2)
+        assert fooled(1, "untargeted", reference=0) and not fooled(0, "untargeted", reference=0)
+
+    def test_array_predictions(self):
+        preds = np.array([0, 1, 2, 1])
+        np.testing.assert_array_equal(fooled(preds, "targeted", target=1), [False, True, False, True])
+        # untargeted: against one class or against per-sample classes
+        np.testing.assert_array_equal(fooled(preds, "untargeted", reference=1), [True, False, True, False])
+        np.testing.assert_array_equal(fooled(preds, "untargeted", reference=np.array([0, 0, 2, 2])),
+                                      [False, True, False, True])
+
+    def test_targeted_needs_target(self):
+        with pytest.raises(InvalidInputError):
+            fooled(np.array([0, 1]), "targeted", reference=np.array([0, 1]))
+
+    def test_mode_check(self):
+        check_mode("untargeted", None)
+        check_mode("targeted", 0)
+        with pytest.raises(InvalidInputError, match="mode must be"):
+            check_mode("sideways", 0)
+        with pytest.raises(InvalidInputError, match="target class"):
+            check_mode("targeted", None)
 
 
 class TestHyperplaneOracle:

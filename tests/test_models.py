@@ -14,13 +14,7 @@ from uapaudio import (
     save_model,
     train,
 )
-from uapaudio.models import (
-    cross_entropy_head,
-    input_gradient,
-    linear_victim_from_params,
-    logit_head,
-    softmax,
-)
+from uapaudio.models import cross_entropy_grad, linear_victim_from_params, softmax
 from uapaudio.optim import AdamState, adam_update
 
 
@@ -48,16 +42,13 @@ class TestLinearClosedForm:
     def test_input_gradient_is_weight_column(self, rng):
         w = rng.normal(size=(5, 2))
         model = linear_victim_from_params(w, np.zeros(2))
-        g = input_gradient(model, rng.uniform(0, 1, 5), logit_head(1))
-        np.testing.assert_allclose(g, w[:, 1], atol=1e-12)
+        _, caches = model.forward_cached(rng.uniform(0, 1, 5))
+        g = model.backward_input(caches, np.array([[0.0, 1.0]]))
+        assert g.shape == (1, 5)
+        np.testing.assert_allclose(g[0], w[:, 1], atol=1e-12)
 
 
 class TestHeads:
-    def test_logit_head(self):
-        value, grad = logit_head(2)(np.array([0.1, -0.4, 1.7]))
-        assert value == pytest.approx(1.7)
-        np.testing.assert_array_equal(grad, [0.0, 0.0, 1.0])
-
     def test_softmax_normalized_and_shift_invariant(self, rng):
         z = rng.normal(size=7)
         p = softmax(z)
@@ -65,11 +56,21 @@ class TestHeads:
         np.testing.assert_allclose(softmax(z + 123.0), p, atol=1e-12)
 
     def test_cross_entropy_head(self, rng):
-        z = rng.normal(size=4)
-        value, grad = cross_entropy_head(1)(z)
-        p = np.exp(z) / np.exp(z).sum()
-        assert value == pytest.approx(-np.log(p[1]))
-        np.testing.assert_allclose(grad, p - np.eye(4)[1], atol=1e-12)
+        z = rng.normal(size=(3, 4))
+        labels = np.array([1, 0, 3])
+        grad = cross_entropy_grad(z, labels)
+        p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(grad, p - np.eye(4)[labels], atol=1e-12)
+        # subtracting a one-hot row and subtracting 1.0 at the label give the same floats
+        np.testing.assert_array_equal(grad, softmax(z) - np.eye(4)[labels])
+        # it is the gradient of -log softmax(z)[label], row by row
+        step = 1e-6
+        for row, label in enumerate(labels):
+            for j in range(4):
+                e = np.zeros(4)
+                e[j] = step
+                fd = (np.log(softmax(z[row] - e)[label]) - np.log(softmax(z[row] + e)[label])) / (2 * step)
+                assert grad[row, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 class TestBuildVictim:
@@ -117,15 +118,19 @@ class TestInputGradient:
     def test_matches_central_differences(self, arch, rng):
         model = build_victim(arch, 1024, 3, seed=3)
         x = rng.uniform(0.2, 0.8, 1024)
-        for head in (logit_head(1), cross_entropy_head(2)):
-            g = input_gradient(model, x, head)
-            assert g.shape == (1024,)
+        logits, caches = model.forward_cached(x)
+        # (scalar of the logits, its gradient w.r.t. them): logit 1, cross-entropy about class 2
+        heads = [(lambda z: z[1], np.eye(3)[[1]]),
+                 (lambda z: -np.log(softmax(z)[2]), cross_entropy_grad(logits, [2]))]
+        for value, dlogits in heads:
+            g = model.backward_input(caches, dlogits)
+            assert g.shape == (1, 1024)
             step = 1e-3
             for i in rng.choice(1024, size=25, replace=False):
                 e = np.zeros(1024)
                 e[i] = step
-                fd = (head(model.logits(x + e))[0] - head(model.logits(x - e))[0]) / (2 * step)
-                assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+                fd = (value(model.logits(x + e)) - value(model.logits(x - e))) / (2 * step)
+                assert g[0, i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
 class TestBackwardParams:
@@ -241,7 +246,16 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             load_model(f)
 
-    @pytest.mark.parametrize("defect", ["no-layers", "no-weight", "nan-weight", "inf-bias"])
+    # replacement specs for layer 0, a conv1d with fields stride (int) and frozen (bool)
+    BAD_LAYER0 = {
+        "unknown-type": {"type": "conv2d", "stride": 8, "frozen": False},
+        "missing-field": {"type": "conv1d", "frozen": False},
+        "extra-field": {"type": "conv1d", "stride": 8, "frozen": False, "dilation": 1},
+        "str-stride": {"type": "conv1d", "stride": "8", "frozen": False},
+        "spec-not-object": "conv1d",
+    }
+
+    @pytest.mark.parametrize("defect", ["no-layers", "no-weight", "nan-weight", "inf-bias", *BAD_LAYER0])
     def test_malformed_checkpoint_is_format_error(self, defect, tmp_path):
         from uapaudio.container import read_container, write_container
 
@@ -254,10 +268,12 @@ class TestCheckpoints:
             del blobs["layer0.weight"]
         elif defect == "nan-weight":
             blobs["layer3.weight"][0, 0, 0] = np.nan
-        else:
+        elif defect == "inf-bias":
             blobs["layer9.bias"][-1] = -np.inf
+        else:
+            manifest["layers"][0] = self.BAD_LAYER0[defect]
         write_container(f, manifest, blobs)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="layer"):
             load_model(f)
 
 

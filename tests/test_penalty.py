@@ -16,6 +16,7 @@ from uapaudio import (
     to_tanh_space,
 )
 from uapaudio.models import linear_victim_from_params
+from uapaudio.penalty import _hinge_batch
 from uapaudio.tanhspace import perturbed_sample
 
 logit_vectors = st.lists(
@@ -62,6 +63,19 @@ class TestHinge:
         others = np.delete(logits, target)
         assert value == max(float(others.max() - logits[target]), -kappa)
         assert value >= -kappa
+
+    @given(st.data(), st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=6),
+           st.floats(min_value=0.0, max_value=100.0))
+    def test_scalar_equals_batch_row(self, data, classes, rows, kappa):
+        """The scalar hinges are exactly the matching row of the batched hinge."""
+        row = st.lists(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+                       min_size=classes, max_size=classes)
+        logits = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+        refs = np.array(data.draw(st.lists(st.integers(0, classes - 1), min_size=rows, max_size=rows)))
+        for mode, scalar in (("untargeted", hinge_untargeted), ("targeted", hinge_targeted)):
+            values, _ = _hinge_batch(logits, refs, kappa, mode)
+            for i in range(rows):
+                assert scalar(logits[i], int(refs[i]), kappa) == values[i]
 
     @given(logit_vectors, st.integers(min_value=0, max_value=7),
            st.floats(min_value=-30.0, max_value=30.0))
