@@ -97,15 +97,15 @@ def load_wav(path: str | Path) -> AudioSample:
             rate = fh.getframerate()
             frames = fh.getnframes()
             raw = fh.readframes(frames)
-    except (wave.Error, EOFError) as exc:
+    except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a chunk size past the end
         raise FormatError(f"not a readable WAV file: {path}") from exc
     if channels != 1:
         raise FormatError("only mono WAV files are supported")
     if width != 2:
         raise FormatError("only 16-bit PCM WAV files are supported")
+    if len(raw) != 2 * frames:
+        raise FormatError(f"truncated WAV payload: {path}")
     pcm = np.frombuffer(raw, dtype="<i2")
-    if pcm.size != frames:
-        raise FormatError("truncated WAV payload")
     if pcm.size == 0:
         raise FormatError("empty WAV file")
     x = (pcm.astype(np.float64) / 32768.0 + 1.0) / 2.0

@@ -102,6 +102,22 @@ def _warn_unconverged(result, method: str, model_path: str) -> None:
               f"(train_asr={result.perturbation.train_asr:.4f})", file=sys.stderr)
 
 
+# command-line flag -> config field; a flag that a command lacks or leaves unset keeps the config default
+_CONFIG_FLAGS = {
+    GreedyConfig: {"mode": "mode", "target": "target", "xi": "xi", "delta": "delta",
+                   "iters": "max_epochs", "seed": "seed"},
+    PenaltyConfig: {"mode": "mode", "target": "target", "c": "c", "kappa": "kappa", "delta": "delta",
+                    "batch": "batch_size", "iters": "max_iters", "seed": "seed"},
+}
+
+
+def _config(cls: type, args: argparse.Namespace, **fields):
+    flags = _CONFIG_FLAGS[cls]
+    fields.update({field: getattr(args, flag) for flag, field in flags.items()
+                   if getattr(args, flag, None) is not None})
+    return cls(**fields)
+
+
 def _craft_subset(x: np.ndarray, y: np.ndarray, m: int | None, seed: int):
     if m is None or m >= x.shape[0]:
         return x, y
@@ -153,18 +169,11 @@ def _cmd_craft(args: argparse.Namespace) -> int:
     x, y = _craft_subset(x, y, args.m, args.seed)
 
     if args.method == "greedy":
-        cfg = GreedyConfig(
-            mode=args.mode, target=args.target, p=_parse_p(args.p),
-            xi=args.xi, delta=args.delta,
-            max_epochs=args.iters if args.iters is not None else 100, seed=args.seed)
+        cfg = _config(GreedyConfig, args, p=_parse_p(args.p))
         result = greedy_uap(model, x, cfg)
     else:
         project = (2.0, args.project_l2) if args.project_l2 is not None else None
-        cfg = PenaltyConfig(
-            mode=args.mode, target=args.target, c=args.c, kappa=args.kappa,
-            delta=args.delta, batch_size=args.batch,
-            max_iters=args.iters if args.iters is not None else 100,
-            seed=args.seed, project=project)
+        cfg = _config(PenaltyConfig, args, project=project)
         result = penalty_uap(model, x, y, cfg)
     _warn_unconverged(result, args.method, args.model)
 
@@ -201,20 +210,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
 
     if args.what == "confidence":
-        cfg = PenaltyConfig(mode=args.mode, target=args.target, c=args.c,
-                            delta=args.delta, batch_size=args.batch,
-                            max_iters=args.iters, seed=args.seed)
         grid = _parse_grid(args.grid) if args.grid else list(KAPPA_GRID)
-        rows = confidence_sweep_rows(sweep_confidence(model, x, y, testset, grid, cfg))
+        rows = confidence_sweep_rows(
+            sweep_confidence(model, x, y, testset, grid, _config(PenaltyConfig, args)))
     else:
         grid = [int(g) for g in _parse_grid(args.grid)] if args.grid else list(DATACOUNT_GRID)
-        gcfg = GreedyConfig(mode=args.mode, target=args.target, delta=args.delta,
-                            max_epochs=args.iters, seed=args.seed)
-        pcfg = PenaltyConfig(mode=args.mode, target=args.target, c=args.c,
-                             delta=args.delta, batch_size=args.batch,
-                             max_iters=args.iters, seed=args.seed)
-        rows = datacount_sweep_rows(
-            sweep_datacount(model, x, y, testset, grid, gcfg, pcfg, seed=args.seed))
+        rows = datacount_sweep_rows(sweep_datacount(
+            model, x, y, testset, grid, _config(GreedyConfig, args), _config(PenaltyConfig, args),
+            seed=args.seed))
 
     sweep_to_csv(rows, out)
     _write_run_manifest(out, f"sweep-{args.what}", args, extra={"rows": len(rows)})
@@ -235,9 +238,9 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
     perts = []
     for model, path in zip(models, paths):
         if args.method == "greedy":
-            result = greedy_uap(model, x, GreedyConfig(mode=args.mode, target=args.target, seed=args.seed))
+            result = greedy_uap(model, x, _config(GreedyConfig, args))
         else:
-            result = penalty_uap(model, x, y, PenaltyConfig(mode=args.mode, target=args.target, seed=args.seed))
+            result = penalty_uap(model, x, y, _config(PenaltyConfig, args))
         _warn_unconverged(result, args.method, path)
         perts.append(result.perturbation)
 
@@ -344,6 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("greedy", "penalty"), default="penalty")
     p.add_argument("--mode", choices=("untargeted", "targeted"), default="untargeted")
     p.add_argument("--target", type=int, default=None)
+    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--kappa", type=float, default=None)
+    p.add_argument("--batch", type=int, default=100)
+    p.add_argument("--iters", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m", type=int, default=None)
     p.set_defaults(func=_cmd_transfer)

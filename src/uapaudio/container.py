@@ -35,7 +35,10 @@ def write_csv(path: str | Path, header: list[str], rows: list[list[str]]) -> Non
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"CSV is not UTF-8 text: {path}") from exc
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -84,9 +87,10 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             raise FormatError(f"malformed blob entry {entry!r} in {path}")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
-        flat = np.frombuffer(data[offset : offset + 4 * count], dtype="<f4")
-        if flat.size != count:
+        chunk = data[offset : offset + 4 * count]
+        if len(chunk) != 4 * count:
             raise FormatError(f"truncated blob {entry['name']!r} in {path}")
+        flat = np.frombuffer(chunk, dtype="<f4")
         if not np.isfinite(flat).all():
             raise FormatError(f"non-finite values in blob {entry['name']!r} in {path}")
         # parameters are stored f32 but all computation is float64

@@ -135,7 +135,7 @@ def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
     root = Path(in_dir)
     try:
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"missing or corrupt dataset manifest in {in_dir}") from exc
     try:
         dim, num_classes, sample_rate = (int(manifest[k]) for k in ("dim", "num_classes", "sample_rate"))
@@ -155,6 +155,8 @@ def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
             label = int(label)
         except ValueError as exc:
             raise FormatError(f"labels.csv: label {label!r} of {fname} is not an integer") from exc
+        if not (root / fname).is_file():
+            raise FormatError(f"labels.csv names {fname!r}, which is not a file in {in_dir}")
         loaded = load_wav(root / fname)
         if len(loaded) != dim:
             raise FormatError(f"{fname}: length {len(loaded)} != dataset dim {dim}")

@@ -48,6 +48,10 @@ class _Layer:
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.PARAMS}
 
+    def out_shape(self, shape: tuple) -> tuple | None:
+        """Shape of one output row for one input row of this shape; None if the layer does not fit it."""
+        return shape
+
 
 class Conv1D(_Layer):
     """1-D convolution over (batch, length, channels) -> (batch, out, filters)."""
@@ -62,6 +66,14 @@ class Conv1D(_Layer):
 
     def out_length(self, length: int) -> int:
         return (length - self.weight.shape[1]) // self.stride + 1
+
+    def out_shape(self, shape: tuple) -> tuple | None:
+        w = self.weight
+        if not (len(shape) == 2 and w.ndim == 3 and w.shape[2] == shape[1]
+                and self.bias.shape == w.shape[:1] and self.stride >= 1):
+            return None
+        n_out = self.out_length(shape[0])
+        return (n_out, w.shape[0]) if n_out >= 1 else None
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         batch, length, chans = x.shape
@@ -109,6 +121,11 @@ class MaxPool1D(_Layer):
     def __init__(self, width: int):
         self.width = int(width)
 
+    def out_shape(self, shape: tuple) -> tuple | None:
+        if len(shape) != 2 or self.width < 1 or shape[0] < self.width:
+            return None
+        return (shape[0] // self.width, shape[1])
+
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         batch, length, chans = x.shape
         n_out = length // self.width
@@ -132,6 +149,9 @@ class MaxPool1D(_Layer):
 class Flatten(_Layer):
     KIND = "flatten"
 
+    def out_shape(self, shape: tuple) -> tuple | None:
+        return (int(np.prod(shape)),)
+
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         return x.reshape(x.shape[0], -1), x.shape
 
@@ -147,6 +167,12 @@ class Dense(_Layer):
         self.bias = np.asarray(bias, dtype=np.float64)  # (out,)
         self.frozen = frozen
 
+    def out_shape(self, shape: tuple) -> tuple | None:
+        w = self.weight
+        if not (w.ndim == 2 and shape == w.shape[:1] and self.bias.shape == w.shape[1:]):
+            return None
+        return w.shape[1:]
+
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x @ self.weight + self.bias, x
 
@@ -158,6 +184,9 @@ class Dense(_Layer):
 
 
 _LAYER_KINDS = {cls.KIND: cls for cls in (Conv1D, ReLU, MaxPool1D, Flatten, Dense)}
+
+# Most rows per block in VictimModel.logits.
+_INFER_BLOCK = 128
 
 
 class VictimModel:
@@ -216,8 +245,31 @@ class VictimModel:
         return grads
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self.forward_cached(x)
-        return out[0] if np.asarray(x).ndim == 1 else out
+        """The logits of forward_cached, float for float.
+
+        A batch of more than _INFER_BLOCK rows runs the layers before the
+        first Flatten on equal blocks of at most _INFER_BLOCK rows, so their
+        batch-wide temporaries (conv1's im2col copy above all) stay small.
+        Blocks are equal, not full blocks and a remainder, because a block of
+        a few rows rounds differently in conv2; Flatten and the head run once
+        on the whole batch, because a blocked Dense rounds differently too.
+        """
+        batch, single = self._as_batch(x)
+        if batch.shape[0] <= _INFER_BLOCK:
+            out, _ = self.forward_cached(batch)
+            return out[0] if single else out
+        front = next((i for i, layer in enumerate(self.layers) if isinstance(layer, Flatten)),
+                     len(self.layers))
+        blocks = []
+        for block in np.array_split(batch, -(-batch.shape[0] // _INFER_BLOCK)):
+            h = block[:, :, None]
+            for layer in self.layers[:front]:
+                h, _ = layer.forward(h)
+            blocks.append(h)
+        h = np.concatenate(blocks)
+        for layer in self.layers[front:]:
+            h, _ = layer.forward(h)
+        return h
 
     def predict(self, x: np.ndarray) -> int | np.ndarray:
         out = self.logits(x)
@@ -348,6 +400,8 @@ def load_model(path: str | Path) -> VictimModel:
     if manifest.get("kind") != "victim-model":
         raise FormatError(f"not a model checkpoint: {path}")
     try:
+        if not isinstance(manifest["layers"], list):
+            raise FormatError(f"model checkpoint {path}: layers must be a list")
         layers = []
         for i, spec in enumerate(manifest["layers"]):
             cls = _LAYER_KINDS.get(spec.get("type")) if isinstance(spec, dict) else None
@@ -358,8 +412,23 @@ def load_model(path: str | Path) -> VictimModel:
                 raise FormatError(f"model checkpoint {path}: layer {i} spec {spec!r} does not match "
                                   f"the {cls.KIND} fields {list(cls.FIELDS)}")
             layers.append(cls(**{p: blobs[f"layer{i}.{p}"] for p in cls.PARAMS}, **fields))
-        return VictimModel(layers, manifest["input_dim"], manifest["num_classes"], arch=manifest["arch"],
-                           seed=manifest.get("seed"), sample_rate=manifest.get("sample_rate", 16000))
+        input_dim, num_classes = manifest["input_dim"], manifest["num_classes"]
+        sample_rate = manifest.get("sample_rate", 16000)
+        if not all(type(n) is int and n >= 1 for n in (input_dim, num_classes, sample_rate)):
+            raise FormatError(f"model checkpoint {path}: input_dim, num_classes and sample_rate "
+                              "must be positive integers")
+        shape = (input_dim, 1)
+        for i, layer in enumerate(layers):
+            fitted = layer.out_shape(shape)
+            if fitted is None:
+                shapes = {name: arr.shape for name, arr in layer.params().items()}
+                raise FormatError(f"model checkpoint {path}: layer {i} ({layer.KIND}, parameter shapes "
+                                  f"{shapes}) does not fit its input of shape {shape}")
+            shape = fitted
+        if shape != (num_classes,):
+            raise FormatError(f"model checkpoint {path}: output shape {shape} is not ({num_classes},)")
+        return VictimModel(layers, input_dim, num_classes, arch=manifest["arch"],
+                           seed=manifest.get("seed"), sample_rate=sample_rate)
     except KeyError as exc:
         raise FormatError(f"model checkpoint {path} has no entry {exc}") from exc
 

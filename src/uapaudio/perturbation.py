@@ -69,7 +69,11 @@ def _encode_p(p: float | None) -> float | str | None:
 def _decode_p(p) -> float | None:
     if p is None:
         return None
-    return np.inf if p == "inf" else float(p)
+    if p == "inf":
+        return np.inf
+    if type(p) not in (int, float):
+        raise FormatError(f"norm order p must be a number or \"inf\", got {p!r}")
+    return float(p)
 
 
 def save_perturbation(pert: Perturbation, path: str | Path) -> None:

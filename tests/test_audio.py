@@ -179,6 +179,13 @@ class TestWavIO:
         with pytest.raises(FormatError):
             load_wav(f)
 
+    def test_rejects_truncated_payload(self, tmp_path):
+        f = tmp_path / "cut.wav"
+        _write_pcm(f, [0, 100, -100, 7])
+        f.write_bytes(f.read_bytes()[:-1])
+        with pytest.raises(FormatError, match="truncated WAV payload"):
+            load_wav(f)
+
     def test_rejects_empty_payload(self, tmp_path):
         f = tmp_path / "none.wav"
         _write_pcm(f, [])

@@ -156,6 +156,8 @@ class TestPipeline:
     @pytest.mark.parametrize("argv, warned", [
         (["--method", "penalty"], ["victim.uapc", "victim2.uapc"]),  # library default c stalls
         (["--method", "greedy", "--mode", "targeted", "--target", "1"], []),
+        (["--method", "penalty", "--mode", "targeted", "--target", "1"], ["victim.uapc", "victim2.uapc"]),
+        (["--method", "penalty", "--mode", "targeted", "--target", "1", "--c", "50"], []),
     ])
     def test_transfer_warns_per_unconverged_source(self, workspace, capsys, argv, warned):
         rc = main(["train-victim", "--arch", "linear", "--data", str(workspace / "data"),
@@ -206,19 +208,42 @@ class TestErrors:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_checkpoint_missing_blob(self, workspace, capsys):
+    def _evaluate_broken_checkpoint(self, workspace, edit) -> int:
         from uapaudio.container import read_container, write_container
 
         manifest, blobs = read_container(workspace / "victim.uapc")
-        del blobs["layer1.weight"]
+        edit(blobs)
         write_container(workspace / "broken.uapc", manifest, blobs)
-        rc = main(["evaluate", "--model", str(workspace / "broken.uapc"),
-                   "--data", str(workspace / "data"),
-                   "--pert", str(workspace / "greedy.uapc"),
-                   "--report", str(workspace / "r.csv")])
-        assert rc == 2
+        return main(["evaluate", "--model", str(workspace / "broken.uapc"),
+                     "--data", str(workspace / "data"),
+                     "--pert", str(workspace / "greedy.uapc"),
+                     "--report", str(workspace / "r.csv")])
+
+    def test_checkpoint_missing_blob(self, workspace, capsys):
+        assert self._evaluate_broken_checkpoint(workspace, lambda blobs: blobs.pop("layer1.weight")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "layer1.weight" in err
+
+    def test_checkpoint_truncated_blob(self, workspace, capsys):
+        def truncate(blobs):
+            blobs["layer1.weight"] = blobs["layer1.weight"].ravel()[:10]
+
+        assert self._evaluate_broken_checkpoint(workspace, truncate) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "layer 1 (dense" in err
+
+    def test_truncated_wav_in_dataset(self, workspace, tmp_path, capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        wav = data / "test_01_00006.wav"
+        wav.write_bytes(wav.read_bytes()[:-1])
+        rc = main(["evaluate", "--model", str(workspace / "victim.uapc"), "--data", str(data),
+                   "--pert", str(workspace / "greedy.uapc"), "--report", str(tmp_path / "r.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated WAV payload" in err
 
     def test_malformed_dataset_manifest(self, workspace, tmp_path, capsys):
         import shutil

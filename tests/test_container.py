@@ -205,7 +205,8 @@ class TestPerturbation:
         with pytest.raises(FormatError):
             load_perturbation(f)
 
-    @pytest.mark.parametrize("defect", ["no-method", "no-mode", "no-signal", "nan-signal", "inf-tanh"])
+    @pytest.mark.parametrize("defect", ["no-method", "no-mode", "no-signal", "nan-signal", "inf-tanh",
+                                        "str-p"])
     def test_malformed_file_is_format_error(self, defect, tmp_path, rng):
         f = tmp_path / "p.uapc"
         save_perturbation(self._make(rng), f)
@@ -218,6 +219,8 @@ class TestPerturbation:
             del blobs["v_signal"]
         elif defect == "nan-signal":
             blobs["v_signal"][3] = np.nan
+        elif defect == "str-p":
+            manifest["p"] = "inx"
         else:
             blobs["v_tanh"][0] = np.inf
         write_container(f, manifest, blobs)

@@ -1,5 +1,7 @@
 """Victim models: forwards, exact gradients, training, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,33 @@ class TestBuildVictim:
         np.testing.assert_allclose(model.logits(x[0]), out[0], atol=1e-12)
         assert isinstance(model.predict(x[0]), int)
         assert model.predict(x).shape == (4,)
+
+
+class TestBlockedLogits:
+    @pytest.mark.parametrize("dim", [1024, 4096])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_equal_to_forward_cached(self, arch, dim):
+        # 129 and 257 rows leave a 1-row block after full blocks of 128 rows, and 130..137 at
+        # d=1024 a 2..9-row block: small blocks round differently in conv2. A blocked head
+        # rounds differently on linear at 130 and 209 rows (d=4096).
+        model = build_victim(arch, dim, 3, seed=5)
+        x = np.random.default_rng(5).uniform(0, 1, (1500, dim))
+        for n in (1, 2, 127, 128, 129, 130, 137, 209, 257, 600, 1500):
+            assert np.array_equal(model.logits(x[:n]), model.forward_cached(x[:n])[0]), n
+        assert np.array_equal(model.logits(x[0]), model.forward_cached(x[0])[0][0])
+
+    def test_peak_memory_stays_below_one_conv1_copy(self):
+        model = build_victim("rand-cnn", 4096, 3, seed=0)
+        x = np.random.default_rng(0).uniform(0, 1, (1500, 4096))
+        conv1 = model.layers[0]
+        im2col_bytes = x.shape[0] * conv1.out_length(4096) * conv1.weight.shape[1] * 8
+        tracemalloc.start()
+        try:
+            model.predict(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < im2col_bytes / 2
 
 
 class TestInputGradient:
@@ -255,7 +284,17 @@ class TestCheckpoints:
         "spec-not-object": "conv1d",
     }
 
-    @pytest.mark.parametrize("defect", ["no-layers", "no-weight", "nan-weight", "inf-bias", *BAD_LAYER0])
+    # replacement blobs that the container accepts but the architecture does not fit
+    BAD_BLOBS = {
+        "short-dense-weight": ("layer7.weight", lambda w: w.ravel()[:10]),
+        "transposed-dense-weight": ("layer9.weight", lambda w: w.T),
+        "one-value-bias": ("layer9.bias", lambda b: b[:1]),
+        "conv-channels": ("layer3.weight", lambda w: w[:, :, :4]),
+        "conv-kernel-too-long": ("layer0.weight", lambda w: np.zeros((8, 2048, 1))),
+    }
+
+    @pytest.mark.parametrize("defect", ["no-layers", "layers-not-list", "no-weight", "nan-weight", "inf-bias",
+                                        "input-dim", "classes", "zero-stride", *BAD_LAYER0, *BAD_BLOBS])
     def test_malformed_checkpoint_is_format_error(self, defect, tmp_path):
         from uapaudio.container import read_container, write_container
 
@@ -264,16 +303,27 @@ class TestCheckpoints:
         manifest, blobs = read_container(f)
         if defect == "no-layers":
             del manifest["layers"]
+        elif defect == "layers-not-list":
+            manifest["layers"] = 10
         elif defect == "no-weight":
             del blobs["layer0.weight"]
         elif defect == "nan-weight":
             blobs["layer3.weight"][0, 0, 0] = np.nan
         elif defect == "inf-bias":
             blobs["layer9.bias"][-1] = -np.inf
+        elif defect == "input-dim":
+            manifest["input_dim"] = 2048
+        elif defect == "classes":
+            manifest["num_classes"] = 4
+        elif defect == "zero-stride":
+            manifest["layers"][3]["stride"] = 0
+        elif defect in self.BAD_BLOBS:
+            name, change = self.BAD_BLOBS[defect]
+            blobs[name] = change(blobs[name])
         else:
             manifest["layers"][0] = self.BAD_LAYER0[defect]
         write_container(f, manifest, blobs)
-        with pytest.raises(FormatError, match="layer"):
+        with pytest.raises(FormatError, match="layer|output shape"):
             load_model(f)
 
 
