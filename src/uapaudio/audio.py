@@ -24,11 +24,10 @@ POWER_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class AudioSample:
-    """A mono waveform in [0, 1] with an optional class label."""
+    """A mono waveform in [0, 1]."""
 
     samples: np.ndarray
     sample_rate: int = DEFAULT_SAMPLE_RATE
-    label: int | None = None
 
     def __post_init__(self) -> None:
         x = np.asarray(self.samples, dtype=np.float64)

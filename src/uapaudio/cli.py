@@ -138,9 +138,8 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     out = Path(args.out)
     save_dataset_dir(dataset, out)
     _write_run_manifest(out, "gen-data", args)
-    counts = {name: len(dataset.split(name)) for name in ("train", "val", "test")}
     print(f"wrote {out}: classes={args.classes} dim={args.dim} "
-          f"train={counts['train']} val={counts['val']} test={counts['test']}")
+          f"train={len(dataset.train)} val={len(dataset.val)} test={len(dataset.test)}")
     return 0
 
 

@@ -27,26 +27,28 @@ TONE_AMPLITUDE = 0.18  # peak of the class tone before noise, in zero-centred un
 
 @dataclass
 class SyntheticDataset:
-    train: list[AudioSample]
-    val: list[AudioSample]
-    test: list[AudioSample]
+    """Three splits of read-only (n, dim) float64 samples, with read-only int64
+    label vectors in labels[split]."""
+
+    train: np.ndarray
+    val: np.ndarray
+    test: np.ndarray
+    labels: dict[str, np.ndarray]
     num_classes: int
     dim: int
     sample_rate: int = 16000
     seed: int | None = None
 
-    def split(self, name: str) -> list[AudioSample]:
-        if name not in SPLITS:
-            raise InvalidInputError(f"unknown split {name!r}")
-        return getattr(self, name)
+    def __post_init__(self) -> None:
+        for name in SPLITS:
+            getattr(self, name).flags.writeable = False
+            self.labels[name].flags.writeable = False
 
     def arrays(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        samples = self.split(name)
-        if not samples:
-            return np.zeros((0, self.dim)), np.zeros(0, dtype=np.int64)
-        x = np.stack([s.samples for s in samples])
-        y = np.array([s.label for s in samples], dtype=np.int64)
-        return x, y
+        """The stored (samples, labels) of a split, not copies."""
+        if name not in SPLITS:
+            raise InvalidInputError(f"unknown split {name!r}")
+        return getattr(self, name), self.labels[name]
 
 
 def band_edges(num_classes: int, dim: int) -> np.ndarray:
@@ -100,18 +102,20 @@ def generate_synthetic_dataset(num_classes: int, per_class: int, dim: int,
     templates = [class_template(dim, edges[k], edges[k + 1], tone_amplitude)
                  for k in range(num_classes)]
     rng = np.random.default_rng(seed)
-    splits: dict[str, list[AudioSample]] = {name: [] for name in SPLITS}
     counts = {"train": per_class, "val": val_per_class, "test": test_per_class}
+    splits, labels = {}, {}
     for name in SPLITS:
+        count = counts[name]
+        x = np.empty((num_classes * count, dim))
         for k in range(num_classes):
-            for _ in range(counts[name]):
-                s = templates[k]
-                if noise_level > 0.0:
-                    s = s + noise_level * rng.uniform(-1.0, 1.0, dim)
-                x = (s + 1.0) / 2.0
-                splits[name].append(AudioSample(x, sample_rate=sample_rate, label=k))
-    return SyntheticDataset(splits["train"], splits["val"], splits["test"],
-                            num_classes=num_classes, dim=dim, sample_rate=sample_rate, seed=seed)
+            # one draw per class block is the row-by-row stream; zero noise adds +-0.0, a no-op
+            x[k * count : (k + 1) * count] = templates[k] + noise_level * rng.uniform(-1.0, 1.0, (count, dim))
+        x += 1.0
+        x /= 2.0
+        splits[name] = x
+        labels[name] = np.repeat(np.arange(num_classes, dtype=np.int64), count)
+    return SyntheticDataset(**splits, labels=labels, num_classes=num_classes, dim=dim,
+                            sample_rate=sample_rate, seed=seed)
 
 
 def save_dataset_dir(dataset: SyntheticDataset, out_dir: str | Path) -> None:
@@ -120,10 +124,10 @@ def save_dataset_dir(dataset: SyntheticDataset, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for name in SPLITS:
-        for i, sample in enumerate(dataset.split(name)):
-            fname = f"{name}_{sample.label:02d}_{i:05d}.wav"
-            save_wav(sample, out / fname)
-            rows.append([fname, str(sample.label), name])
+        for i, (x, label) in enumerate(zip(*dataset.arrays(name))):
+            fname = f"{name}_{label:02d}_{i:05d}.wav"
+            save_wav(AudioSample(x, dataset.sample_rate), out / fname)
+            rows.append([fname, str(label), name])
     write_csv(out / "labels.csv", ["filename", "label", "split"], rows)
     manifest = {"kind": "dataset", "num_classes": dataset.num_classes, "dim": dataset.dim,
                 "sample_rate": dataset.sample_rate, "seed": dataset.seed}
@@ -144,7 +148,8 @@ def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
     header, rows = read_csv(root / "labels.csv")
     if header != ["filename", "label", "split"]:
         raise FormatError("labels.csv must have columns filename,label,split")
-    splits: dict[str, list[AudioSample]] = {name: [] for name in SPLITS}
+    samples: dict[str, list[np.ndarray]] = {name: [] for name in SPLITS}
+    labels: dict[str, list[int]] = {name: [] for name in SPLITS}
     for row in rows:
         if len(row) != 3:
             raise FormatError(f"labels.csv row {row!r} needs 3 fields")
@@ -160,6 +165,11 @@ def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
         loaded = load_wav(root / fname)
         if len(loaded) != dim:
             raise FormatError(f"{fname}: length {len(loaded)} != dataset dim {dim}")
-        splits[split].append(AudioSample(loaded.samples, sample_rate=loaded.sample_rate, label=label))
-    return SyntheticDataset(splits["train"], splits["val"], splits["test"], num_classes=num_classes,
-                            dim=dim, sample_rate=sample_rate, seed=manifest.get("seed"))
+        if loaded.sample_rate != sample_rate:
+            raise FormatError(f"{fname}: sample rate {loaded.sample_rate} != dataset rate {sample_rate}")
+        samples[split].append(loaded.samples)
+        labels[split].append(label)
+    return SyntheticDataset(
+        **{name: np.reshape(samples[name], (-1, dim)) for name in SPLITS},
+        labels={name: np.array(labels[name], dtype=np.int64) for name in SPLITS},
+        num_classes=num_classes, dim=dim, sample_rate=sample_rate, seed=manifest.get("seed"))

@@ -16,6 +16,9 @@ import numpy as np
 from .exceptions import InvalidInputError
 from .models import VictimModel, cross_entropy_grad
 
+# cosine step-size schedule, from the first step's size down to the last one's
+_STEP_START, _STEP_END = 1.0, 0.01
+
 
 def check_mode(mode: str, target: int | None) -> None:
     """Reject an unknown attack mode, and a targeted attack without a target class."""
@@ -43,8 +46,6 @@ class InnerAttackConfig:
     steps: int = 50
     init_norm: float = 0.2
     gamma: float = 0.05  # relative radius adjustment per step
-    step_size_start: float = 1.0
-    step_size_end: float = 0.01
     mode: str = "untargeted"
     target: int | None = None
 
@@ -88,8 +89,7 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
     best_norm = np.inf
 
     for k in range(cfg.steps):
-        alpha = cfg.step_size_end + 0.5 * (cfg.step_size_start - cfg.step_size_end) \
-            * (1.0 + np.cos(np.pi * k / cfg.steps))
+        alpha = _STEP_END + 0.5 * (_STEP_START - _STEP_END) * (1.0 + np.cos(np.pi * k / cfg.steps))
         point = np.clip(x + delta, 0.0, 1.0)
         logits, caches = model.forward_cached(point)
         is_adv = fooled(int(np.argmax(logits[0])), cfg.mode, reference_class, reference_class)

@@ -10,7 +10,7 @@ clip(x + v) - x for the greedy method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import NormalDist
 
@@ -23,7 +23,7 @@ from .exceptions import DegenerateVarianceError, InvalidInputError, UndefinedMet
 from .greedy import GreedyConfig, greedy_uap
 from .models import VictimModel
 from .penalty import PenaltyConfig, penalty_uap
-from .perturbation import Perturbation, _encode_p
+from .perturbation import Perturbation
 from .tanhspace import TANH_EPSILON, perturbed_sample, to_tanh_space
 
 DEFAULT_ALPHA = 0.057
@@ -51,7 +51,6 @@ class EvalReport:
     mean_snr_db: float
     mean_l_db: float
     rows: list[EvalRow]
-    config: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -81,7 +80,7 @@ def applied_perturbation(x: np.ndarray, pert: Perturbation) -> np.ndarray:
 
 
 def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
-                 pert: Perturbation, mode: str | None = None) -> EvalReport:
+                 pert: Perturbation) -> EvalReport:
     """Score a crafted perturbation against a model on an evaluation set.
 
     testset is an (X, y) pair. Success is judged on predictions alone: the
@@ -94,8 +93,7 @@ def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
         raise InvalidInputError("empty evaluation set")
     if y is not None and len(y) != x.shape[0]:
         raise InvalidInputError("labels must align with samples")
-    mode = mode or pert.mode
-    check_mode(mode, pert.target)
+    check_mode(pert.mode, pert.target)
 
     applied = applied_perturbation(x, pert)
     clean_preds = model.predict(x)
@@ -114,13 +112,11 @@ def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
     l_dbs = np.array([r.l_db for r in rows])
     finite_l = l_dbs[np.isfinite(l_dbs)]
     return EvalReport(
-        mode=mode, method=pert.method, train_asr=pert.train_asr,
-        test_asr=float(np.mean(fooled(adv_preds, mode, pert.target, clean_preds))),
+        mode=pert.mode, method=pert.method, train_asr=pert.train_asr,
+        test_asr=float(np.mean(fooled(adv_preds, pert.mode, pert.target, clean_preds))),
         mean_snr_db=float(np.mean(snrs)),
         mean_l_db=float(np.mean(finite_l)) if finite_l.size else float("nan"),
         rows=rows,
-        config={"method": pert.method, "mode": mode, "target": pert.target,
-                "p": _encode_p(pert.p), "xi": pert.xi, "seed": pert.seed, "params": dict(pert.params)},
     )
 
 

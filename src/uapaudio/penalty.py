@@ -7,8 +7,9 @@ on the victim's logits:
 
 where G is floored at -kappa and vanishes (at kappa = 0) exactly when the
 attack condition holds. Gradients are accumulated over a mini-batch as a plain
-sum and applied with Adam; the perturbed samples never need clipping because
-the squash keeps them strictly inside (0, 1).
+sum and applied with Adam at AdamState's default settings (step size 0.01);
+the perturbed samples never need clipping because the squash keeps them
+strictly inside (0, 1).
 
 The loop's SPL term is evaluated at v' directly. Recovering it from w_i gives
 the same value in exact arithmetic but adds tanh round-trip noise; the
@@ -43,11 +44,6 @@ class PenaltyConfig:
     batch_size: int = 100
     max_iters: int = 100
     min_iters: int = 0  # defer the success check: forces at least this many updates
-    lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    epsilon: float = TANH_EPSILON
     project: tuple[float, float] | None = None  # optional (p, xi) post-projection
     seed: int = 0
 
@@ -67,8 +63,6 @@ class PenaltyConfig:
             raise InvalidInputError("batch size and iteration cap must be >= 1")
         if not 0 <= self.min_iters <= self.max_iters:
             raise InvalidInputError("min_iters must lie in [0, max_iters]")
-        if not 0.0 < self.epsilon < 1.0:
-            raise InvalidInputError("epsilon must lie in (0, 1)")
         if self.project is not None:
             p, xi = self.project
             if not (p == 2 or np.isinf(p)) or xi <= 0.0:
@@ -201,10 +195,10 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
     if np.any(y < 0) or np.any(y >= model.num_classes):
         raise InvalidInputError("label out of range for the victim")
 
-    x_tanh = to_tanh_space(x, cfg.epsilon)
+    x_tanh = to_tanh_space(x)
     rng = np.random.default_rng(cfg.seed)
     stream = _BatchStream(m, cfg.batch_size, rng)
-    adam = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+    adam = AdamState()
     v = np.zeros(d)
     best_v = v
     best_asr = -1.0
@@ -241,7 +235,6 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
             "loss_min": float(np.min(losses)),
             "hinge_mean": float(np.mean(hinges)),
             "spl_vprime": spl_v,
-            "spl_render": spl(render_signal_v(v, cfg.epsilon)),
         })
 
         # d(w)/d(v') = sech^2(x'+v')/2 = 2w(1-w); plain sum over the batch
@@ -251,19 +244,19 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
         v = v + step
         if cfg.project is not None:
             p, xi = cfg.project
-            centered = render_signal_v(v, cfg.epsilon) - 0.5
+            centered = render_signal_v(v) - 0.5
             projected = project_lp(centered, p, xi)
             if not np.array_equal(projected, centered):
-                v = to_tanh_space(projected + 0.5, cfg.epsilon)
+                v = to_tanh_space(projected + 0.5)
         iteration += 1
 
     pert = Perturbation(
-        v_signal=render_signal_v(best_v, cfg.epsilon), method="penalty", mode=cfg.mode,
+        v_signal=render_signal_v(best_v), method="penalty", mode=cfg.mode,
         v_tanh=best_v, target=cfg.target, seed=cfg.seed, train_asr=best_asr,
         p=(cfg.project[0] if cfg.project else None),
         xi=(cfg.project[1] if cfg.project else None),
-        params={"c": cfg.c, "kappa": cfg.kappa, "S": cfg.batch_size, "lr": cfg.lr,
-                "epsilon": cfg.epsilon,
+        params={"c": cfg.c, "kappa": cfg.kappa, "S": cfg.batch_size, "lr": adam.lr,
+                "epsilon": TANH_EPSILON,
                 "projection": ([_encode_p(cfg.project[0]), cfg.project[1]] if cfg.project else None)},
     )
     return PenaltyResult(pert, asr_trace, records, converged, iteration)

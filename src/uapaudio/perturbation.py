@@ -56,9 +56,6 @@ class Perturbation:
     def linf(self) -> float:
         return float(np.max(np.abs(self.v_signal)))
 
-    def spl_db(self) -> float:
-        return spl(self.v_signal)
-
 
 def _encode_p(p: float | None) -> float | str | None:
     if p is None:

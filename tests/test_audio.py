@@ -123,8 +123,8 @@ class TestAudioSample:
             AudioSample(np.array([]))
 
     def test_len_and_label(self):
-        s = AudioSample(np.full(12, 0.5), label=3)
-        assert len(s) == 12 and s.label == 3
+        s = AudioSample(np.full(12, 0.5), sample_rate=8000)
+        assert len(s) == 12 and s.sample_rate == 8000
 
 
 def _write_pcm(path, pcm, rate=16000, channels=1, width=2):

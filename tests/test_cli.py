@@ -245,6 +245,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "truncated WAV payload" in err
 
+    def test_wav_sample_rate_mismatch_in_dataset(self, workspace, tmp_path, capsys):
+        import shutil
+
+        from uapaudio import AudioSample, load_wav, save_wav
+
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        wav = data / "test_01_00006.wav"
+        save_wav(AudioSample(load_wav(wav).samples, sample_rate=8000), wav)
+        rc = main(["evaluate", "--model", str(workspace / "victim.uapc"), "--data", str(data),
+                   "--pert", str(workspace / "greedy.uapc"), "--report", str(tmp_path / "r.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sample rate 8000" in err
+
     def test_malformed_dataset_manifest(self, workspace, tmp_path, capsys):
         import shutil
 

@@ -1,14 +1,19 @@
 """Synthetic band-tone dataset generation and directory round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from uapaudio import (
+    AudioSample,
     FormatError,
     InvalidInputError,
     generate_synthetic_dataset,
     load_dataset_dir,
+    load_wav,
     save_dataset_dir,
+    save_wav,
 )
 from uapaudio.data import AM_CYCLES, band_edges, class_template
 
@@ -27,7 +32,7 @@ class TestGeneration:
         x, y = ds.arrays("train")
         assert x.shape == (24, 256)
         assert np.bincount(y).tolist() == [8, 8, 8]
-        assert len(ds.split("val")) == 6 and len(ds.split("test")) == 12
+        assert len(ds.val) == 6 and len(ds.arrays("test")[0]) == 12
 
     def test_default_test_split_is_half(self):
         ds = generate_synthetic_dataset(2, 10, 256, seed=0)
@@ -61,7 +66,37 @@ class TestGeneration:
         with pytest.raises(InvalidInputError):
             generate_synthetic_dataset(2, 4, 256, noise_level=0.5, tone_amplitude=0.6)
         with pytest.raises(InvalidInputError):
-            generate_synthetic_dataset(2, 4, 256).split("holdout")
+            generate_synthetic_dataset(2, 4, 256).arrays("holdout")
+
+
+class TestArrays:
+    # SHA-256 over every split's sample and label bytes, as the earlier
+    # sample-by-sample generator produced them
+    DIGESTS = {
+        0.05: "f9f92db43a406c1e1659f93a2bf01c141c23e2cae8fb61f7999f96d355de8679",
+        0.0: "03bf5d767c191db17da9f3572e1017845f0c185f385c2c5d45a0ac15604ec3ac",
+    }
+
+    @pytest.mark.parametrize("noise_level", sorted(DIGESTS))
+    def test_same_bits_as_sample_by_sample_generation(self, noise_level):
+        ds = generate_synthetic_dataset(3, 4, 256, noise_level=noise_level, seed=0,
+                                        val_per_class=2, test_per_class=3)
+        h = hashlib.sha256()
+        for name in ("train", "val", "test"):
+            x, y = ds.arrays(name)
+            assert x.dtype == np.float64 and y.dtype == np.int64
+            h.update(x.tobytes())
+            h.update(y.tobytes())
+        assert h.hexdigest() == self.DIGESTS[noise_level]
+
+    def test_stored_arrays_are_read_only_and_not_copied(self):
+        ds = generate_synthetic_dataset(2, 3, 256, seed=0)
+        x, y = ds.arrays("train")
+        assert x is ds.train and y is ds.labels["train"]
+        with pytest.raises(ValueError):
+            x[0] = 0.5
+        with pytest.raises(ValueError):
+            y[0] = 1
 
 
 class TestSpectralStructure:
@@ -151,6 +186,14 @@ class TestDirectoryRoundTrip:
         else:
             labels.write_text(labels.read_text().replace(",1,train", ",one,train"))
         with pytest.raises(FormatError):
+            load_dataset_dir(tmp_path)
+
+    def test_sample_rate_mismatch(self, tmp_path):
+        ds = generate_synthetic_dataset(2, 1, 256, seed=0, test_per_class=0)
+        save_dataset_dir(ds, tmp_path)
+        wav = tmp_path / "train_01_00001.wav"
+        save_wav(AudioSample(load_wav(wav).samples, sample_rate=8000), wav)
+        with pytest.raises(FormatError, match="sample rate 8000"):
             load_dataset_dir(tmp_path)
 
     def test_length_mismatch(self, tmp_path):

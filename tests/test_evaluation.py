@@ -145,8 +145,6 @@ class TestEvaluateUap:
             evaluate_uap(model, (np.zeros((0, 8)), None), pert)
         with pytest.raises(InvalidInputError):
             evaluate_uap(model, (x, y[:2]), pert)
-        with pytest.raises(InvalidInputError):
-            evaluate_uap(model, (x, y), pert, mode="targeted")
 
     def test_report_csv_round_trip(self, tmp_path):
         model = axis_model()

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uapaudio import (
+    AdamState,
     InvalidInputError,
     PenaltyConfig,
     hinge_targeted,
@@ -193,7 +194,8 @@ class TestPenaltyLoop:
         x = rng.uniform(0.35, 0.65, (3, d))
         y = np.asarray(model.predict(x))
         cfg = PenaltyConfig(c=0.7, kappa=50.0, batch_size=3, max_iters=1,
-                            delta=0.01, lr=0.01, seed=0)
+                            delta=0.01, seed=0)
+        adam = AdamState()  # the penalty loop's Adam settings
         res = penalty_uap(model, x, y, cfg)
 
         x_tanh = to_tanh_space(x)
@@ -211,7 +213,7 @@ class TestPenaltyLoop:
             e = np.zeros(d)
             e[j] = step
             g = (total_objective(e) - total_objective(-e)) / (2 * step)
-            expected = -cfg.lr * g / (abs(g) + cfg.adam_eps)
+            expected = -adam.lr * g / (abs(g) + adam.eps)
             assert v_after[j] == pytest.approx(expected, rel=1e-3)
 
     def test_spl_never_exceeds_objective_at_zero_kappa(self, victim, train_xy):
