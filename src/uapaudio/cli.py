@@ -144,6 +144,8 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_victim(args: argparse.Namespace) -> int:
+    if args.epochs < 1:
+        raise InvalidInputError("train-victim needs --epochs >= 1")
     dataset = load_dataset_dir(args.data)
     model = build_victim(args.arch, dataset.dim, dataset.num_classes, seed=args.seed,
                          sample_rate=dataset.sample_rate)

@@ -20,12 +20,15 @@ from .models import VictimModel, cross_entropy_grad
 _STEP_START, _STEP_END = 1.0, 0.01
 
 
-def check_mode(mode: str, target: int | None) -> None:
-    """Reject an unknown attack mode, and a targeted attack without a target class."""
+def check_mode(mode: str, target: int | None, num_classes: int | None = None) -> None:
+    """Reject an unknown attack mode, a targeted attack without a target class,
+    and, given the victim's class count, a target the victim does not have."""
     if mode not in ("untargeted", "targeted"):
         raise InvalidInputError("mode must be 'untargeted' or 'targeted'")
     if mode == "targeted" and target is None:
         raise InvalidInputError("targeted attack needs a target class")
+    if mode == "targeted" and num_classes is not None and target not in range(num_classes):
+        raise InvalidInputError(f"target class {target!r} is not a class of this {num_classes}-class victim")
 
 
 def fooled(preds, mode: str, target: int | None = None, reference=None):
@@ -50,10 +53,10 @@ class InnerAttackConfig:
     target: int | None = None
 
     def __post_init__(self) -> None:
-        if self.steps < 1:
+        if not 1 <= self.steps < np.inf:
             raise InvalidInputError("steps must be >= 1")
-        if self.init_norm <= 0.0:
-            raise InvalidInputError("init_norm must be positive")
+        if not 0.0 < self.init_norm < np.inf:
+            raise InvalidInputError("init_norm must be positive and finite")
         if not 0.0 < self.gamma < 1.0:
             raise InvalidInputError("gamma must lie in (0, 1)")
         check_mode(self.mode, self.target)
@@ -77,7 +80,7 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidInputError("inner attack expects a single sample")
-    if float(x.min()) < 0.0 or float(x.max()) > 1.0:
+    if not 0.0 <= float(x.min()) <= float(x.max()) <= 1.0:  # NaN fails too
         raise InvalidInputError("sample must lie in [0, 1]")
     if reference_class is None:
         reference_class = cfg.target if cfg.mode == "targeted" else int(model.predict(x))

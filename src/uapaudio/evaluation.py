@@ -93,7 +93,9 @@ def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
         raise InvalidInputError("empty evaluation set")
     if y is not None and len(y) != x.shape[0]:
         raise InvalidInputError("labels must align with samples")
-    check_mode(pert.mode, pert.target)
+    if not 0.0 <= float(x.min()) <= float(x.max()) <= 1.0:  # NaN fails too
+        raise InvalidInputError("samples must lie in [0, 1]")
+    check_mode(pert.mode, pert.target, model.num_classes)
 
     applied = applied_perturbation(x, pert)
     clean_preds = model.predict(x)

@@ -32,16 +32,16 @@ class GreedyConfig:
 
     def __post_init__(self) -> None:
         check_mode(self.mode, self.target)
-        if not (self.p == 2 or np.isinf(self.p)):
+        if self.p not in (2, np.inf):
             raise InvalidInputError("norm order must be 2 or inf")
         if not 0.0 < self.delta <= 1.0:
             raise InvalidInputError("delta must lie in (0, 1]")
-        if self.max_epochs < 1:
+        if not 1 <= self.max_epochs < np.inf:
             raise InvalidInputError("max_epochs must be >= 1")
         if self.xi is None:
             self.xi = 0.2 if self.mode == "untargeted" else 0.12
-        if self.xi <= 0.0:
-            raise InvalidInputError("xi must be positive")
+        if not 0.0 < self.xi < np.inf:
+            raise InvalidInputError("xi must be positive and finite")
         if self.inner is None:
             self.inner = InnerAttackConfig(mode=self.mode, target=self.target)
         elif self.inner.mode != self.mode:
@@ -90,8 +90,9 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyRe
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] == 0:
         raise InvalidInputError("empty crafting set")
-    if float(x.min()) < 0.0 or float(x.max()) > 1.0:
+    if not 0.0 <= float(x.min()) <= float(x.max()) <= 1.0:  # NaN fails too
         raise InvalidInputError("samples must lie in [0, 1]")
+    check_mode(cfg.mode, cfg.target, model.num_classes)
     m, d = x.shape
 
     clean_preds = np.atleast_1d(model.predict(x))

@@ -210,6 +210,8 @@ class VictimModel:
             x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise InvalidInputError(f"expected input of length {self.input_dim}, got shape {x.shape}")
+        if x.shape[0] == 0:
+            raise InvalidInputError("empty batch")
         return x, single
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -446,6 +448,10 @@ def train(model: VictimModel, dataset, epochs: int = 20, *, lr: float = 1e-3,
 
     Frozen layers are never updated. Returns per-epoch accuracy history.
     """
+    if not (0 <= epochs < np.inf and 1 <= batch_size < np.inf):
+        raise InvalidInputError("epochs must be >= 0 and batch size >= 1")
+    if not 0.0 < lr < np.inf:
+        raise InvalidInputError("learning rate must be positive and finite")
     x_train, y_train = dataset.arrays("train")
     if x_train.shape[0] == 0:
         raise InvalidInputError("empty training set")

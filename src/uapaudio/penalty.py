@@ -39,7 +39,7 @@ class PenaltyConfig:
     mode: str = "untargeted"
     target: int | None = None
     c: float | None = None  # defaults: 0.2 untargeted, 0.15 targeted
-    kappa: float | None = None  # defaults: 40 untargeted, 10 targeted
+    kappa: float | None = None  # defaults: 0 untargeted, 10 targeted
     delta: float = 0.1
     batch_size: int = 100
     max_iters: int = 100
@@ -52,21 +52,21 @@ class PenaltyConfig:
         if self.c is None:
             self.c = 0.2 if self.mode == "untargeted" else 0.15
         if self.kappa is None:
-            self.kappa = 40.0 if self.mode == "untargeted" else 10.0
-        if self.c <= 0.0:
-            raise InvalidInputError("c must be positive")
-        if self.kappa < 0.0:
-            raise InvalidInputError("kappa must be non-negative")
+            self.kappa = 0.0 if self.mode == "untargeted" else 10.0
+        if not 0.0 < self.c < np.inf:
+            raise InvalidInputError("c must be positive and finite")
+        if not 0.0 <= self.kappa < np.inf:
+            raise InvalidInputError("kappa must be non-negative and finite")
         if not 0.0 < self.delta <= 1.0:
             raise InvalidInputError("delta must lie in (0, 1]")
-        if self.batch_size < 1 or self.max_iters < 1:
+        if not (1 <= self.batch_size < np.inf and 1 <= self.max_iters < np.inf):
             raise InvalidInputError("batch size and iteration cap must be >= 1")
         if not 0 <= self.min_iters <= self.max_iters:
             raise InvalidInputError("min_iters must lie in [0, max_iters]")
         if self.project is not None:
             p, xi = self.project
-            if not (p == 2 or np.isinf(p)) or xi <= 0.0:
-                raise InvalidInputError("post-projection needs p in {2, inf} and xi > 0")
+            if p not in (2, np.inf) or not 0.0 < xi < np.inf:
+                raise InvalidInputError("post-projection needs p in {2, inf} and a finite xi > 0")
 
 
 @dataclass
@@ -194,6 +194,7 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
         raise InvalidInputError("labels must align with samples")
     if np.any(y < 0) or np.any(y >= model.num_classes):
         raise InvalidInputError("label out of range for the victim")
+    check_mode(cfg.mode, cfg.target, model.num_classes)
 
     x_tanh = to_tanh_space(x)
     rng = np.random.default_rng(cfg.seed)

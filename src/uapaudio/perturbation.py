@@ -101,15 +101,20 @@ def load_perturbation(path: str | Path) -> Perturbation:
     manifest, blobs = read_container(path)
     if manifest.get("kind") != "perturbation":
         raise FormatError(f"not a perturbation file: {path}")
+    target, xi = manifest.get("target"), manifest.get("xi")
+    if not (target is None or type(target) is int):
+        raise FormatError(f"perturbation file {path}: target must be an integer or null, got {target!r}")
+    if not (xi is None or type(xi) in (int, float) and 0.0 < xi < np.inf):
+        raise FormatError(f"perturbation file {path}: xi must be a positive finite number or null, got {xi!r}")
     try:
         return Perturbation(
             v_signal=blobs["v_signal"],
             method=manifest["method"],
             mode=manifest["mode"],
             v_tanh=blobs.get("v_tanh"),
-            target=manifest.get("target"),
+            target=target,
             p=_decode_p(manifest.get("p")),
-            xi=manifest.get("xi"),
+            xi=xi,
             seed=manifest.get("seed"),
             train_asr=manifest.get("train_asr"),
             params=manifest.get("params", {}),

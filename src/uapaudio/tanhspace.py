@@ -28,7 +28,7 @@ def to_tanh_space(x: np.ndarray, epsilon: float = TANH_EPSILON) -> np.ndarray:
         raise InvalidInputError("empty signal")
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError("epsilon must lie in (0, 1)")
-    if float(x.min()) < 0.0 or float(x.max()) > 1.0:
+    if not 0.0 <= float(x.min()) <= float(x.max()) <= 1.0:  # NaN fails too
         raise InvalidInputError("signal values must lie in [0, 1]")
     return np.arctanh((2.0 * x - 1.0) * (1.0 - epsilon))
 

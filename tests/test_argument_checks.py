@@ -1,0 +1,131 @@
+"""Bad numbers fail loudly: non-finite and out-of-range settings, samples and targets."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from uapaudio import (
+    GreedyConfig,
+    InnerAttackConfig,
+    InvalidInputError,
+    PenaltyConfig,
+    Perturbation,
+    build_victim,
+    ddn_minimal_perturbation,
+    evaluate_uap,
+    generate_synthetic_dataset,
+    greedy_uap,
+    penalty_uap,
+    to_tanh_space,
+    train,
+)
+
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+not_positive = st.floats(max_value=0.0, allow_infinity=False) | non_finite
+negative = st.floats(max_value=-5e-324, allow_infinity=False) | non_finite
+not_unit_interval = not_positive | st.floats(min_value=1.0, exclude_min=True)  # outside (0, 1]
+
+
+def below(count: int):
+    """Whole numbers under count, plus every non-finite value."""
+    return st.integers(max_value=count - 1) | non_finite
+
+
+# (config class, field, values the field must reject)
+BAD_FIELDS = [
+    (GreedyConfig, "xi", not_positive),
+    (GreedyConfig, "delta", not_unit_interval),
+    (GreedyConfig, "max_epochs", below(1)),
+    (GreedyConfig, "p", st.sampled_from([np.nan, -np.inf, 0.0, 1.0, 3.0])),
+    (PenaltyConfig, "c", not_positive),
+    (PenaltyConfig, "kappa", negative),
+    (PenaltyConfig, "delta", not_unit_interval),
+    (PenaltyConfig, "batch_size", below(1)),
+    (PenaltyConfig, "max_iters", below(1)),
+    (PenaltyConfig, "min_iters", below(0) | st.integers(min_value=101)),  # max_iters is 100
+    (InnerAttackConfig, "steps", below(1)),
+    (InnerAttackConfig, "init_norm", not_positive),
+    (InnerAttackConfig, "gamma", not_positive | st.floats(min_value=1.0)),
+]
+
+
+@pytest.mark.parametrize("cls,name,bad", BAD_FIELDS, ids=[f"{c.__name__}.{n}" for c, n, _ in BAD_FIELDS])
+@given(data=st.data())
+def test_config_rejects_non_finite_and_out_of_range(cls, name, bad, data):
+    value = data.draw(bad)
+    with pytest.raises(InvalidInputError):
+        cls(**{name: value})
+
+
+def test_penalty_projection_rejects_non_finite_radius():
+    for xi in (np.nan, np.inf, -1.0, 0.0):
+        with pytest.raises(InvalidInputError):
+            PenaltyConfig(project=(2.0, xi))
+    with pytest.raises(InvalidInputError):
+        PenaltyConfig(project=(np.nan, 1.0))
+
+
+_TINY = generate_synthetic_dataset(2, 2, 256, seed=0)
+
+
+@pytest.mark.parametrize("name", ["epochs", "batch_size", "lr"])
+@given(data=st.data())
+def test_train_rejects_non_finite_and_out_of_range(name, data):
+    bad = {"epochs": below(0), "batch_size": below(1), "lr": not_positive}[name]
+    model = build_victim("linear", 256, 2, seed=0)
+    before = model.parameter_vector().copy()
+    kwargs = {"epochs": 1, name: data.draw(bad)}
+    with pytest.raises(InvalidInputError):
+        train(model, _TINY, **kwargs)
+    np.testing.assert_array_equal(model.parameter_vector(), before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+class TestNonFiniteSamples:
+    def _samples(self, bad):
+        x = np.full((3, 256), 0.5)
+        x[1, 7] = bad
+        return x
+
+    def test_greedy(self, bad):
+        with pytest.raises(InvalidInputError):
+            greedy_uap(build_victim("linear", 256, 2), self._samples(bad), GreedyConfig())
+
+    def test_ddn(self, bad):
+        with pytest.raises(InvalidInputError):
+            ddn_minimal_perturbation(build_victim("linear", 256, 2), self._samples(bad)[1],
+                                     InnerAttackConfig())
+
+    def test_tanh_space(self, bad):
+        with pytest.raises(InvalidInputError):
+            to_tanh_space(self._samples(bad))
+
+    def test_penalty(self, bad):
+        with pytest.raises(InvalidInputError):
+            penalty_uap(build_victim("linear", 256, 2), self._samples(bad), np.zeros(3), PenaltyConfig())
+
+    def test_evaluate(self, bad):
+        pert = Perturbation(np.zeros(256), method="greedy", mode="untargeted")
+        with pytest.raises(InvalidInputError, match=r"\[0, 1\]"):
+            evaluate_uap(build_victim("linear", 256, 2), (self._samples(bad), None), pert)
+
+
+@pytest.mark.parametrize("target", [3, 9, -1])
+class TestTargetAgainstVictim:
+    """A target class the victim does not have is an error, not an IndexError or a 0.0 ASR."""
+
+    def test_greedy(self, target):
+        with pytest.raises(InvalidInputError, match="not a class"):
+            greedy_uap(build_victim("linear", 256, 3), np.full((2, 256), 0.5),
+                       GreedyConfig(mode="targeted", target=target))
+
+    def test_penalty(self, target):
+        with pytest.raises(InvalidInputError, match="not a class"):
+            penalty_uap(build_victim("linear", 256, 3), np.full((2, 256), 0.5), None,
+                        PenaltyConfig(mode="targeted", target=target))
+
+    def test_evaluate(self, target):
+        pert = Perturbation(np.zeros(256), method="greedy", mode="targeted", target=target)
+        with pytest.raises(InvalidInputError, match="not a class"):
+            evaluate_uap(build_victim("linear", 256, 3), (np.full((2, 256), 0.5), None), pert)

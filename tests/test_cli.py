@@ -275,6 +275,49 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "dim" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["craft", "--method", "greedy", "--mode", "targeted", "--target", "9"], "not a class"),
+        (["craft", "--method", "penalty", "--mode", "targeted", "--target", "9"], "not a class"),
+        (["craft", "--method", "penalty", "--mode", "targeted", "--target", "-1"], "not a class"),
+        (["craft", "--method", "greedy", "--mode", "untargeted", "--xi", "nan"], "xi must"),
+        (["craft", "--method", "penalty", "--mode", "untargeted", "--c", "nan"], "c must"),
+        (["craft", "--method", "penalty", "--mode", "untargeted", "--c", "inf"], "c must"),
+        (["craft", "--method", "penalty", "--mode", "untargeted", "--kappa", "nan"], "kappa must"),
+        (["train-victim", "--arch", "linear", "--lr", "nan"], "learning rate"),
+        (["train-victim", "--arch", "linear", "--batch", "0"], "batch size"),
+        (["train-victim", "--arch", "linear", "--epochs", "0"], "--epochs"),
+    ], ids=["greedy-target-9", "penalty-target-9", "penalty-target-minus-1", "xi-nan", "c-nan",
+            "c-inf", "kappa-nan", "lr-nan", "batch-0", "epochs-0"])
+    def test_bad_value_exits_2(self, workspace, tmp_path, capsys, argv, message):
+        import warnings
+
+        argv = argv + ["--data", str(workspace / "data"), "--out", str(tmp_path / "out")]
+        if argv[0] == "craft":
+            argv += ["--model", str(workspace / "victim.uapc")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy RuntimeWarning is not a clean refusal
+            rc = main(argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry", [{"target": "x"}, {"target": 7}, {"xi": -1.0}, {"xi": "wide"}],
+                             ids=["target-str", "target-7", "xi-negative", "xi-str"])
+    def test_bad_perturbation_entry_exits_2(self, workspace, tmp_path, capsys, entry):
+        from uapaudio.container import read_container, write_container
+
+        manifest, blobs = read_container(workspace / "greedy.uapc")
+        manifest.update(entry, mode="targeted")
+        write_container(tmp_path / "p.uapc", manifest, blobs)
+        rc = main(["evaluate", "--model", str(workspace / "victim.uapc"),
+                   "--data", str(workspace / "data"), "--pert", str(tmp_path / "p.uapc"),
+                   "--report", str(tmp_path / "r.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and next(iter(entry)) in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_invalid_generation_arguments(self, tmp_path, capsys):
         rc = main(["gen-data", "--classes", "1", "--per-class", "3", "--dim", "256",
                    "--out", str(tmp_path / "d")])

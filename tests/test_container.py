@@ -199,6 +199,18 @@ class TestPerturbation:
         save_perturbation(pert, f)
         assert load_perturbation(f).v_tanh is None
 
+    @pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"1e999"])
+    def test_non_finite_xi_is_format_error(self, token, tmp_path, rng):
+        # the JSON reader accepts these tokens; canonical JSON cannot write them
+        f = tmp_path / "p.uapc"
+        pert = self._make(rng)
+        pert.xi = "########"
+        save_perturbation(pert, f)
+        data = f.read_bytes()
+        f.write_bytes(data.replace(b'"########"', token.ljust(10)))
+        with pytest.raises(FormatError, match="xi"):
+            load_perturbation(f)
+
     def test_kind_enforced(self, tmp_path):
         f = tmp_path / "x.uapc"
         write_container(f, {"kind": "checkpoint"}, {"v_signal": np.zeros(4)})
@@ -206,7 +218,8 @@ class TestPerturbation:
             load_perturbation(f)
 
     @pytest.mark.parametrize("defect", ["no-method", "no-mode", "no-signal", "nan-signal", "inf-tanh",
-                                        "str-p"])
+                                        "str-p", "str-target", "float-target", "bool-target",
+                                        "str-xi", "zero-xi", "negative-xi"])
     def test_malformed_file_is_format_error(self, defect, tmp_path, rng):
         f = tmp_path / "p.uapc"
         save_perturbation(self._make(rng), f)
@@ -221,6 +234,10 @@ class TestPerturbation:
             blobs["v_signal"][3] = np.nan
         elif defect == "str-p":
             manifest["p"] = "inx"
+        elif defect.endswith("-target"):
+            manifest["target"] = {"str": "x", "float": 1.5, "bool": True}[defect[:-7]]
+        elif defect.endswith("-xi"):
+            manifest["xi"] = {"str": "wide", "zero": 0, "negative": -0.2}[defect[:-3]]
         else:
             blobs["v_tanh"][0] = np.inf
         write_container(f, manifest, blobs)

@@ -105,6 +105,14 @@ class TestBuildVictim:
         with pytest.raises(InvalidInputError):
             model.logits(np.zeros(65))
 
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_empty_batch_is_invalid_input(self, arch):
+        model = build_victim(arch, 1024, 3, seed=0)
+        x = np.full((4, 1024), 0.5)
+        for call in (model.logits, model.predict, model.forward_cached):
+            with pytest.raises(InvalidInputError, match="empty batch"):
+                call(x[:0])
+
     def test_batch_and_single_shapes(self, rng):
         model = build_victim("rand-cnn", 1024, 3, seed=0)
         x = rng.uniform(0, 1, (4, 1024))

@@ -9,12 +9,15 @@ from uapaudio import (
     AdamState,
     InvalidInputError,
     PenaltyConfig,
+    build_victim,
+    generate_synthetic_dataset,
     hinge_targeted,
     hinge_untargeted,
     penalty_loss,
     penalty_uap,
     render_signal_v,
     to_tanh_space,
+    train,
 )
 from uapaudio.models import linear_victim_from_params
 from uapaudio.penalty import _hinge_batch
@@ -146,7 +149,7 @@ class TestPenaltyLoss:
 class TestPenaltyConfig:
     def test_mode_defaults(self):
         cfg = PenaltyConfig()
-        assert cfg.c == 0.2 and cfg.kappa == 40.0
+        assert cfg.c == 0.2 and cfg.kappa == 0.0
         tgt = PenaltyConfig(mode="targeted", target=1)
         assert tgt.c == 0.15 and tgt.kappa == 10.0
 
@@ -297,3 +300,16 @@ class TestPenaltyLoop:
         with pytest.raises(InvalidInputError):
             penalty_uap(victim, np.zeros((0, 8)), None,
                         PenaltyConfig(mode="targeted", target=0))
+
+
+def test_untargeted_default_floor_converges_where_kappa_40_stalled():
+    """On the desk victim (seed 0, 30 epochs) the untargeted c=50 craft at
+    craft seed 27 stalled at its 100-step cap under the old floor kappa=40,
+    with one class never fooled; the default floor kappa=0 converges."""
+    ds = generate_synthetic_dataset(3, 200, 4096, seed=0, test_per_class=100)
+    model = build_victim("rand-cnn", 4096, 3, seed=0)
+    train(model, ds, epochs=30, seed=0)
+    x, y = ds.arrays("train")
+    res = penalty_uap(model, x, y, PenaltyConfig(c=50.0, seed=27))
+    assert res.converged and res.perturbation.train_asr >= 0.9
+    assert res.iterations < 30
