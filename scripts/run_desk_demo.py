@@ -14,58 +14,43 @@ this script passes c explicitly (10 untargeted, 5 targeted).
 
 from __future__ import annotations
 
-import argparse
 import json
 import time
 from pathlib import Path
 
+import _desk
 from uapaudio import (
     GreedyConfig,
     PenaltyConfig,
     accuracy,
-    build_victim,
     evaluate_uap,
-    generate_synthetic_dataset,
     greedy_uap,
     penalty_uap,
     report_summary,
     report_to_csv,
     save_model,
     save_perturbation,
-    train,
 )
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = _desk.parser(__doc__)
     ap.add_argument("--out", type=Path, default=Path("demo_out"))
-    ap.add_argument("--classes", type=int, default=3)
-    ap.add_argument("--per-class", type=int, default=200)
-    ap.add_argument("--test-per-class", type=int, default=100)
-    ap.add_argument("--dim", type=int, default=4096)
-    ap.add_argument("--epochs", type=int, default=30)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     args.out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
 
     print("== dataset ==")
-    ds = generate_synthetic_dataset(
-        args.classes, args.per_class, args.dim,
-        seed=args.seed, test_per_class=args.test_per_class,
-    )
+    ds = _desk.dataset(args)
     x_train, y_train = ds.arrays("train")
     testset = ds.arrays("test")
     print(f"train {x_train.shape}, test {testset[0].shape}")
 
     print("== victim (rand-cnn) ==")
-    model = build_victim("rand-cnn", args.dim, args.classes, seed=args.seed)
-    history = train(model, ds, epochs=args.epochs, seed=args.seed)
-    train_acc = accuracy(model, x_train, y_train)
+    model, train_acc = _desk.victim(args, ds)
     test_acc = accuracy(model, *testset)
-    print(f"final epoch acc {history['train_accuracy'][-1]:.3f}  "
-          f"train acc {train_acc:.3f}  test acc {test_acc:.3f}")
+    print(f"train acc {train_acc:.3f}  test acc {test_acc:.3f}")
     save_model(model, args.out / "victim.npz")
 
     summaries = []

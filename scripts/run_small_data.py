@@ -9,22 +9,19 @@ single-sample protocol (fixed 19-iteration budget, high-confidence hinge).
 
 from __future__ import annotations
 
-import argparse
 import statistics
 
 import numpy as np
 
+import _desk
 from uapaudio import (
     GreedyConfig,
     PenaltyConfig,
     accuracy,
-    build_victim,
     evaluate_uap,
-    generate_synthetic_dataset,
     greedy_uap,
     penalty_uap,
     single_sample_attack,
-    train,
     two_proportion_z,
 )
 
@@ -35,24 +32,14 @@ def subset(x: np.ndarray, y: np.ndarray, m: int, seed: int) -> tuple[np.ndarray,
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--classes", type=int, default=3)
-    ap.add_argument("--per-class", type=int, default=200)
-    ap.add_argument("--test-per-class", type=int, default=100)
-    ap.add_argument("--dim", type=int, default=4096)
-    ap.add_argument("--epochs", type=int, default=30)
+    ap = _desk.parser(__doc__)
     ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    ds = generate_synthetic_dataset(
-        args.classes, args.per_class, args.dim,
-        seed=args.seed, test_per_class=args.test_per_class,
-    )
+    ds = _desk.dataset(args)
     x, y = ds.arrays("train")
     testset = ds.arrays("test")
-    model = build_victim("rand-cnn", args.dim, args.classes, seed=args.seed)
-    train(model, ds, epochs=args.epochs, seed=args.seed)
+    model, _ = _desk.victim(args, ds)
     print(f"victim test acc {accuracy(model, *testset):.3f}")
 
     m_test = testset[0].shape[0]

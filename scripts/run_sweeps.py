@@ -10,51 +10,38 @@ written to --out. Expect a few minutes at the default scale.
 
 from __future__ import annotations
 
-import argparse
 import time
 from pathlib import Path
 
+import _desk
 from uapaudio import (
     DATACOUNT_GRID,
     KAPPA_GRID,
     GreedyConfig,
     PenaltyConfig,
     accuracy,
-    build_victim,
     confidence_sweep_rows,
     datacount_sweep_rows,
-    generate_synthetic_dataset,
     sweep_confidence,
     sweep_datacount,
     sweep_to_csv,
-    train,
 )
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = _desk.parser(__doc__)
     ap.add_argument("--out", type=Path, default=Path("sweep_out"))
-    ap.add_argument("--classes", type=int, default=3)
-    ap.add_argument("--per-class", type=int, default=200)
-    ap.add_argument("--test-per-class", type=int, default=100)
-    ap.add_argument("--dim", type=int, default=4096)
-    ap.add_argument("--epochs", type=int, default=30)
     ap.add_argument("--c", type=float, default=5.0,
                     help="penalty coefficient (desk victims need ~5-20)")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     args.out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
 
-    ds = generate_synthetic_dataset(
-        args.classes, args.per_class, args.dim,
-        seed=args.seed, test_per_class=args.test_per_class,
-    )
+    ds = _desk.dataset(args)
     x, y = ds.arrays("train")
     testset = ds.arrays("test")
-    model = build_victim("rand-cnn", args.dim, args.classes, seed=args.seed)
-    train(model, ds, epochs=args.epochs, seed=args.seed)
+    model, _ = _desk.victim(args, ds)
     print(f"victim test acc {accuracy(model, *testset):.3f}")
 
     print(f"== kappa sweep over {KAPPA_GRID} ==")

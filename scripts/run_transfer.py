@@ -9,49 +9,36 @@ little about transfer between real networks) and is written as CSV.
 
 from __future__ import annotations
 
-import argparse
 import time
 from pathlib import Path
 
+import _desk
 from uapaudio import (
     ARCHITECTURES,
     PenaltyConfig,
     accuracy,
-    build_victim,
-    generate_synthetic_dataset,
     penalty_uap,
-    train,
     transfer_matrix,
     transfer_to_csv,
 )
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = _desk.parser(__doc__)
     ap.add_argument("--out", type=Path, default=Path("transfer_out"))
-    ap.add_argument("--classes", type=int, default=3)
-    ap.add_argument("--per-class", type=int, default=200)
-    ap.add_argument("--test-per-class", type=int, default=100)
-    ap.add_argument("--dim", type=int, default=4096)
-    ap.add_argument("--epochs", type=int, default=30)
     ap.add_argument("--c", type=float, default=10.0)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     args.out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
 
-    ds = generate_synthetic_dataset(
-        args.classes, args.per_class, args.dim,
-        seed=args.seed, test_per_class=args.test_per_class,
-    )
+    ds = _desk.dataset(args)
     x, y = ds.arrays("train")
     testset = ds.arrays("test")
 
     models, perts = [], []
     for arch in ARCHITECTURES:
-        model = build_victim(arch, args.dim, args.classes, seed=args.seed)
-        train(model, ds, epochs=args.epochs, seed=args.seed)
+        model, _ = _desk.victim(args, ds, arch)
         result = penalty_uap(model, x, y, PenaltyConfig(c=args.c, seed=args.seed))
         models.append(model)
         perts.append(result.perturbation)

@@ -149,17 +149,17 @@ def _cmd_train_victim(args: argparse.Namespace) -> int:
     dataset = load_dataset_dir(args.data)
     model = build_victim(args.arch, dataset.dim, dataset.num_classes, seed=args.seed,
                          sample_rate=dataset.sample_rate)
-    history = train(model, dataset, epochs=args.epochs, lr=args.lr,
-                    batch_size=args.batch, seed=args.seed)
+    train_acc = train(model, dataset, epochs=args.epochs, lr=args.lr,
+                      batch_size=args.batch, seed=args.seed)["train_accuracy"]
     test_x, test_y = dataset.arrays("test")
     test_acc = accuracy(model, test_x, test_y) if len(test_y) else float("nan")
     out = Path(args.out)
     save_model(model, out)
     _write_run_manifest(out, "train-victim", args,
-                        extra={"train_accuracy": history["train_accuracy"][-1],
+                        extra={"train_accuracy": train_acc,
                                "test_accuracy": test_acc})
     print(f"wrote {out}: arch={args.arch} "
-          f"train_acc={history['train_accuracy'][-1]:.4f} test_acc={test_acc:.4f}")
+          f"train_acc={train_acc:.4f} test_acc={test_acc:.4f}")
     return 0
 
 
@@ -370,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UapAudioError, FileNotFoundError) as exc:
+    except (UapAudioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

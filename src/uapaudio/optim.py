@@ -1,7 +1,9 @@
-"""Adam optimizer in functional form, shared by the attack loop and training."""
+"""Adam optimizer in functional form and the seeded mini-batch order, both
+shared by the attack loop and training."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,3 +41,14 @@ def adam_update(state: AdamState, grad: np.ndarray) -> tuple[np.ndarray, AdamSta
     u_hat = u / (1.0 - state.beta2**t)
     delta = -state.lr * m_hat / (np.sqrt(u_hat) + state.eps)
     return delta, replace(state, t=t, m=m, u=u)
+
+
+def seeded_batches(n: int, size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Endless index batches: a fresh permutation of range(n) per pass, cut in slices of size.
+
+    The last batch of a pass is short when size does not divide n. Needs n >= 1.
+    """
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n, size):
+            yield order[start : start + size]

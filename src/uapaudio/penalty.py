@@ -27,7 +27,7 @@ from .ddn import check_mode, fooled
 from .exceptions import InvalidInputError
 from .greedy import project_lp
 from .models import VictimModel
-from .optim import AdamState, adam_update
+from .optim import AdamState, adam_update, seeded_batches
 from .perturbation import Perturbation, _encode_p
 from .tanhspace import TANH_EPSILON, perturbed_sample, recover_vprime, render_signal_v, to_tanh_space
 
@@ -148,25 +148,6 @@ def penalty_loss(model: VictimModel, w: np.ndarray, x_tanh: np.ndarray, referenc
     return float(loss), grad
 
 
-class _BatchStream:
-    """Seeded shuffle without replacement, reshuffled each pass."""
-
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        self.n = n
-        self.batch_size = min(batch_size, n)
-        self.rng = rng
-        self.order = rng.permutation(n)
-        self.cursor = 0
-
-    def next(self) -> np.ndarray:
-        if self.cursor >= self.n:
-            self.order = self.rng.permutation(self.n)
-            self.cursor = 0
-        batch = self.order[self.cursor : self.cursor + self.batch_size]
-        self.cursor += self.batch_size
-        return batch
-
-
 def _asr_tanh(model: VictimModel, x_tanh: np.ndarray, v_tanh: np.ndarray,
               labels: np.ndarray, mode: str, target: int | None) -> float:
     preds = model.predict(perturbed_sample(x_tanh, v_tanh))
@@ -197,8 +178,7 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
     check_mode(cfg.mode, cfg.target, model.num_classes)
 
     x_tanh = to_tanh_space(x)
-    rng = np.random.default_rng(cfg.seed)
-    stream = _BatchStream(m, cfg.batch_size, rng)
+    batches = seeded_batches(m, cfg.batch_size, np.random.default_rng(cfg.seed))
     adam = AdamState()
     v = np.zeros(d)
     best_v = v
@@ -220,7 +200,7 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
         if iteration >= cfg.max_iters:
             break
 
-        batch = stream.next()
+        batch = next(batches)
         w = perturbed_sample(x_tanh[batch], v)
         logits, caches = model.forward_cached(w)
         refs = np.full(batch.size, cfg.target) if cfg.mode == "targeted" else y[batch]

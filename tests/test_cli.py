@@ -324,6 +324,23 @@ class TestErrors:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--test-per-class", "-1"], ["--val-per-class", "-1"],
+                                       ["--rate", "0"]], ids=["test-minus-1", "val-minus-1", "rate-0"])
+    def test_bad_generation_argument_writes_nothing(self, tmp_path, capsys, flags):
+        rc = main(["gen-data", "--classes", "2", "--per-class", "3", "--dim", "256",
+                   "--out", str(tmp_path / "d")] + flags)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "d").exists()
+
+    def test_directory_as_perturbation_file(self, workspace, tmp_path, capsys):
+        rc = main(["evaluate", "--model", str(workspace / "victim.uapc"),
+                   "--data", str(workspace / "data"), "--pert", str(tmp_path),
+                   "--report", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "r.csv").exists()
+
     def test_bad_sweep_grid(self, workspace, capsys):
         rc = main(["sweep", "confidence", "--model", str(workspace / "victim.uapc"),
                    "--data", str(workspace / "data"), "--grid", "0,forty",

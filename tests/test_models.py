@@ -1,6 +1,7 @@
 """Victim models: forwards, exact gradients, training, checkpoints."""
 
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from uapaudio import (
     train,
 )
 from uapaudio.models import cross_entropy_grad, linear_victim_from_params, softmax
-from uapaudio.optim import AdamState, adam_update
+from uapaudio.optim import AdamState, adam_update, seeded_batches
 
 
 class TestLinearClosedForm:
@@ -225,9 +226,16 @@ class TestTraining:
     def test_zero_epochs_is_identity(self, bandtone_ds):
         model = build_victim("rand-cnn", bandtone_ds.dim, 3, seed=0)
         before = model.parameter_vector().copy()
-        history = train(model, bandtone_ds, epochs=0)
-        assert history == {"train_accuracy": [], "val_accuracy": []}
+        untrained = accuracy(model, *bandtone_ds.arrays("train"))
+        assert train(model, bandtone_ds, epochs=0) == {"train_accuracy": untrained}
         np.testing.assert_array_equal(model.parameter_vector(), before)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_returns_the_trained_models_train_accuracy(self, arch):
+        ds = generate_synthetic_dataset(3, 10, 1024, seed=4, val_per_class=2, test_per_class=2)
+        model = build_victim(arch, 1024, 3, seed=4)
+        result = train(model, ds, epochs=2, batch_size=7, seed=4)
+        assert result == {"train_accuracy": accuracy(model, *ds.arrays("train"))}
 
     def test_gamma_front_end_stays_frozen(self):
         ds = generate_synthetic_dataset(2, 20, 1024, seed=2, test_per_class=5)
@@ -367,3 +375,27 @@ class TestAdam:
         state = AdamState()
         adam_update(state, rng.normal(size=3))
         assert state.t == 0 and state.m is None
+
+
+def _per_epoch_batches(n: int, size: int, rng: np.random.Generator, epochs: int):
+    # reference order: one permutation per epoch, sliced in turn; seeded_batches must match it
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, size):
+            yield order[start : start + size]
+
+
+class TestSeededBatches:
+    @pytest.mark.parametrize("n", [1, 7, 600])
+    @pytest.mark.parametrize("size", [1, 7, 32, 100, 1000])
+    def test_same_batches_as_a_per_epoch_loop(self, n, size):
+        epochs = 3
+        steps = epochs * -(-n // size)
+        new_rng, old_rng = np.random.default_rng(11), np.random.default_rng(11)
+        new = list(islice(seeded_batches(n, size, new_rng), steps))
+        old = list(_per_epoch_batches(n, size, old_rng, epochs))
+        assert len(new) == len(old) == steps
+        for a, b in zip(new, old):
+            np.testing.assert_array_equal(a, b)
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
