@@ -64,8 +64,8 @@ def main() -> None:
     print("== single-sample protocol (one crafting sample per class) ==")
     sel = np.array([int(np.flatnonzero(y == k)[0]) for k in range(args.classes)])
     runs = single_sample_attack(model, x[sel], y[sel], testset,
-                                cfg=PenaltyConfig(c=5.0, kappa=90.0,
-                                                  batch_size=1, min_iters=19))
+                                cfg=PenaltyConfig(c=5.0, kappa=90.0, batch_size=1,
+                                                  min_iters=19, max_iters=19))
     scores = [r.test_asr for _, r in runs]
     for (label, report) in runs:
         print(f"class {label}: test asr {report.test_asr:.3f}  "

@@ -17,10 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .audio import DEFAULT_SAMPLE_RATE
 from .container import canonical_json
 from .data import generate_synthetic_dataset, load_dataset_dir, save_dataset_dir
 from .evaluation import (
     DATACOUNT_GRID,
+    DEFAULT_ALPHA,
     KAPPA_GRID,
     _seeded_subset,
     confidence_sweep_rows,
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-per-class", type=int, default=None)
     p.add_argument("--val-per-class", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--rate", type=int, default=16000)
+    p.add_argument("--rate", type=int, default=DEFAULT_SAMPLE_RATE)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train-victim", help="train a registry model on a dataset")
@@ -296,25 +298,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_train_victim)
 
-    p = sub.add_parser("craft", help="craft a universal perturbation")
+    # flags that craft, sweep and transfer share, with the same defaults
+    crafting = argparse.ArgumentParser(add_help=False)
+    crafting.add_argument("--data", required=True)
+    crafting.add_argument("--out", required=True)
+    crafting.add_argument("--target", type=int, default=None)
+    crafting.add_argument("--c", type=float, default=None)
+    crafting.add_argument("--batch", type=int, default=100)
+    crafting.add_argument("--seed", type=int, default=0)
+    crafting.add_argument("--m", type=int, default=None,
+                          help="craft from a seeded subset of this many training samples")
+
+    p = sub.add_parser("craft", parents=[crafting], help="craft a universal perturbation")
     p.add_argument("--method", choices=("greedy", "penalty"), required=True)
     p.add_argument("--mode", choices=("untargeted", "targeted"), required=True)
-    p.add_argument("--target", type=int, default=None)
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--c", type=float, default=None)
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--xi", type=float, default=None)
     p.add_argument("--p", choices=("2", "inf"), default="inf")
-    p.add_argument("--batch", type=int, default=100)
     p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--project-l2", type=float, default=None,
                    help="penalty only: project the rendering onto an l2 ball of this radius")
-    p.add_argument("--m", type=int, default=None,
-                   help="craft from a seeded subset of this many training samples")
     p.set_defaults(func=_cmd_craft)
 
     p = sub.add_parser("evaluate", help="score a perturbation against a model")
@@ -325,42 +330,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="parameter sweeps emitting one CSV")
+    p = sub.add_parser("sweep", parents=[crafting], help="parameter sweeps emitting one CSV")
     p.add_argument("what", choices=("confidence", "datacount"))
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("untargeted", "targeted"), default="untargeted")
-    p.add_argument("--target", type=int, default=None)
     p.add_argument("--grid", default=None, help="comma-separated values")
-    p.add_argument("--c", type=float, default=None)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--batch", type=int, default=100)
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("transfer", help="cross-model transfer matrix")
+    p = sub.add_parser("transfer", parents=[crafting], help="cross-model transfer matrix")
     p.add_argument("--models", required=True, help="comma-separated model paths")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--method", choices=("greedy", "penalty"), default="penalty")
     p.add_argument("--mode", choices=("untargeted", "targeted"), default="untargeted")
-    p.add_argument("--target", type=int, default=None)
-    p.add_argument("--c", type=float, default=None)
     p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--batch", type=int, default=100)
     p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=None)
     p.set_defaults(func=_cmd_transfer)
 
     p = sub.add_parser("ztest", help="two-proportion significance test")
     p.add_argument("--pl", type=float, required=True, help="lower success rate")
     p.add_argument("--ph", type=float, required=True, help="higher success rate")
     p.add_argument("--m", type=int, required=True, help="evaluation set size")
-    p.add_argument("--alpha", type=float, default=0.057)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.set_defaults(func=_cmd_ztest)
 
     return parser

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioSample, load_wav, save_wav
+from .audio import DEFAULT_SAMPLE_RATE, AudioSample, load_wav, save_wav
 from .container import read_csv, write_csv
 from .exceptions import FormatError, InvalidInputError
 
@@ -36,7 +36,7 @@ class SyntheticDataset:
     labels: dict[str, np.ndarray]
     num_classes: int
     dim: int
-    sample_rate: int = 16000
+    sample_rate: int = DEFAULT_SAMPLE_RATE
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -81,7 +81,7 @@ def generate_synthetic_dataset(num_classes: int, per_class: int, dim: int,
                                noise_level: float = 0.05, seed: int = 0, *,
                                tone_amplitude: float = TONE_AMPLITUDE,
                                val_per_class: int = 0, test_per_class: int | None = None,
-                               sample_rate: int = 16000) -> SyntheticDataset:
+                               sample_rate: int = DEFAULT_SAMPLE_RATE) -> SyntheticDataset:
     """Build a dataset with per_class training samples per class.
 
     Each class is a fixed in-band AM tone; samples of the class differ only in
@@ -145,10 +145,13 @@ def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"missing or corrupt dataset manifest in {in_dir}") from exc
-    try:
-        dim, num_classes, sample_rate = (int(manifest[k]) for k in ("dim", "num_classes", "sample_rate"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"dataset manifest in {in_dir} needs integer dim, num_classes and sample_rate") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"dataset manifest in {in_dir} is not a JSON object")
+    dim, num_classes, sample_rate = (manifest.get(k) for k in ("dim", "num_classes", "sample_rate"))
+    if not (all(type(n) is int and n >= 1 for n in (dim, sample_rate))
+            and type(num_classes) is int and num_classes >= 2):
+        raise FormatError(f"dataset manifest in {in_dir} needs integer dim >= 1, num_classes >= 2 "
+                          "and sample_rate >= 1")
     header, rows = read_csv(root / "labels.csv")
     if header != ["filename", "label", "split"]:
         raise FormatError("labels.csv must have columns filename,label,split")
@@ -164,6 +167,9 @@ def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
             label = int(label)
         except ValueError as exc:
             raise FormatError(f"labels.csv: label {label!r} of {fname} is not an integer") from exc
+        if not 0 <= label < num_classes:
+            raise FormatError(f"labels.csv: label {label} of {fname} is not a class of this "
+                              f"{num_classes}-class dataset")
         if not (root / fname).is_file():
             raise FormatError(f"labels.csv names {fname!r}, which is not a file in {in_dir}")
         loaded = load_wav(root / fname)

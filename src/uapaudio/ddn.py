@@ -49,8 +49,6 @@ class InnerAttackConfig:
     steps: int = 50
     init_norm: float = 0.2
     gamma: float = 0.05  # relative radius adjustment per step
-    mode: str = "untargeted"
-    target: int | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.steps < np.inf:
@@ -59,7 +57,6 @@ class InnerAttackConfig:
             raise InvalidInputError("init_norm must be positive and finite")
         if not 0.0 < self.gamma < 1.0:
             raise InvalidInputError("gamma must lie in (0, 1)")
-        check_mode(self.mode, self.target)
 
 
 @dataclass
@@ -71,19 +68,24 @@ class InnerAttackResult:
 
 
 def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttackConfig,
+                             mode: str = "untargeted",
                              reference_class: int | None = None) -> InnerAttackResult:
     """Smallest-L2 additive perturbation flipping (or forcing) the prediction.
 
-    reference_class is the class to escape (untargeted) or reach (targeted);
-    defaults to the model's clean prediction of x, or cfg.target.
+    reference_class is the class to escape (untargeted) or reach (targeted,
+    where it is required); untargeted, it defaults to the model's prediction of x.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidInputError("inner attack expects a single sample")
     if not 0.0 <= float(x.min()) <= float(x.max()) <= 1.0:  # NaN fails too
         raise InvalidInputError("sample must lie in [0, 1]")
+    check_mode(mode, reference_class, model.num_classes)
     if reference_class is None:
-        reference_class = cfg.target if cfg.mode == "targeted" else int(model.predict(x))
+        reference_class = int(model.predict(x))
+    elif reference_class not in range(model.num_classes):
+        raise InvalidInputError(f"reference class {reference_class!r} is not a class of this "
+                                f"{model.num_classes}-class victim")
 
     delta = np.zeros_like(x)
     radius = cfg.init_norm
@@ -95,7 +97,7 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
         alpha = _STEP_END + 0.5 * (_STEP_START - _STEP_END) * (1.0 + np.cos(np.pi * k / cfg.steps))
         point = np.clip(x + delta, 0.0, 1.0)
         logits, caches = model.forward_cached(point)
-        is_adv = fooled(int(np.argmax(logits[0])), cfg.mode, reference_class, reference_class)
+        is_adv = fooled(int(np.argmax(logits[0])), mode, reference_class, reference_class)
         if is_adv:
             norm = float(np.linalg.norm(delta))
             if norm < best_norm:
@@ -106,7 +108,7 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
         gnorm = float(np.linalg.norm(grad))
         if gnorm > 0.0:
             step = (alpha / gnorm) * grad
-            delta = delta + step if cfg.mode == "untargeted" else delta - step
+            delta = delta + step if mode == "untargeted" else delta - step
 
         radius = radius * (1.0 - cfg.gamma) if is_adv else radius * (1.0 + cfg.gamma)
         trace.append(radius)
@@ -116,7 +118,7 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
 
     # the final projected iterate was never evaluated inside the loop
     final_pred = int(model.predict(np.clip(x + delta, 0.0, 1.0)))
-    if fooled(final_pred, cfg.mode, reference_class, reference_class):
+    if fooled(final_pred, mode, reference_class, reference_class):
         norm = float(np.linalg.norm(delta))
         if norm < best_norm:
             best, best_norm = delta.copy(), norm

@@ -24,7 +24,7 @@ from .greedy import GreedyConfig, greedy_uap
 from .models import VictimModel
 from .penalty import PenaltyConfig, penalty_uap
 from .perturbation import Perturbation
-from .tanhspace import TANH_EPSILON, perturbed_sample, to_tanh_space
+from .tanhspace import perturbed_sample, to_tanh_space
 
 DEFAULT_ALPHA = 0.057
 KAPPA_GRID = (0.0, 10.0, 20.0, 40.0, 60.0, 90.0)
@@ -73,9 +73,7 @@ def applied_perturbation(x: np.ndarray, pert: Perturbation) -> np.ndarray:
     if x.shape[1] != pert.dim:
         raise InvalidInputError("perturbation dimension does not match samples")
     if pert.v_tanh is not None:
-        eps = float(pert.params.get("epsilon", TANH_EPSILON))
-        w = perturbed_sample(to_tanh_space(x, eps), pert.v_tanh)
-        return w - x
+        return perturbed_sample(to_tanh_space(x), pert.v_tanh) - x
     return np.clip(x + pert.v_signal, 0.0, 1.0) - x
 
 
@@ -277,12 +275,11 @@ def datacount_sweep_rows(results: list[tuple[str, int, EvalReport]]) -> list[dic
 
 def single_sample_attack(model: VictimModel, x: np.ndarray, y: np.ndarray,
                          testset: tuple[np.ndarray, np.ndarray],
-                         cfg: PenaltyConfig | None = None,
-                         iters: int = 19) -> list[tuple[int, EvalReport]]:
+                         cfg: PenaltyConfig | None = None) -> list[tuple[int, EvalReport]]:
     """Craft one penalty perturbation per class from a single sample of it.
 
     x holds exactly one sample per class (y gives the classes, all distinct);
-    each run uses a fixed small iteration budget and a high-confidence hinge.
+    by default each run has a fixed 19-iteration budget and a high-confidence hinge.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
@@ -291,8 +288,7 @@ def single_sample_attack(model: VictimModel, x: np.ndarray, y: np.ndarray,
     if np.unique(y).size != y.size:
         raise InvalidInputError("classes must be distinct")
     if cfg is None:
-        cfg = PenaltyConfig(c=0.2, kappa=90.0, batch_size=1)
-    cfg = replace(cfg, max_iters=int(iters))
+        cfg = PenaltyConfig(c=0.2, kappa=90.0, batch_size=1, max_iters=19)
     out = []
     for k in np.argsort(y):
         label = int(y[k])

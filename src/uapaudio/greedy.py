@@ -9,7 +9,7 @@ or the epoch cap is hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class GreedyConfig:
     delta: float = 0.1  # residual fooling tolerance
     max_epochs: int = 100
     seed: int = 0
-    inner: InnerAttackConfig | None = None
+    inner: InnerAttackConfig = field(default_factory=InnerAttackConfig)
 
     def __post_init__(self) -> None:
         check_mode(self.mode, self.target)
@@ -42,10 +42,6 @@ class GreedyConfig:
             self.xi = 0.2 if self.mode == "untargeted" else 0.12
         if not 0.0 < self.xi < np.inf:
             raise InvalidInputError("xi must be positive and finite")
-        if self.inner is None:
-            self.inner = InnerAttackConfig(mode=self.mode, target=self.target)
-        elif self.inner.mode != self.mode:
-            raise InvalidInputError("inner attack mode must match crafting mode")
 
 
 @dataclass
@@ -108,7 +104,7 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyRe
             if fooled(int(model.predict(point)), cfg.mode, cfg.target, clean_preds[i]):
                 continue
             reference = cfg.target if cfg.mode == "targeted" else int(clean_preds[i])
-            result = ddn_minimal_perturbation(model, point, cfg.inner, reference_class=reference)
+            result = ddn_minimal_perturbation(model, point, cfg.inner, cfg.mode, reference)
             inner_calls += 1
             v = project_lp(v + result.delta, cfg.p, cfg.xi)
         epochs += 1

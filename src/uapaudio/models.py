@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .audio import DEFAULT_SAMPLE_RATE
 from .container import read_container, write_container
 from .exceptions import FormatError, InvalidInputError
 from .optim import AdamState, adam_update, seeded_batches
@@ -194,7 +195,7 @@ class VictimModel:
     """A differentiable classifier over fixed-length waveforms in [0, 1]."""
 
     def __init__(self, layers: list, input_dim: int, num_classes: int, arch: str = "custom",
-                 seed: int | None = None, sample_rate: int = 16000):
+                 seed: int | None = None, sample_rate: int = DEFAULT_SAMPLE_RATE):
         self.layers = layers
         self.input_dim = int(input_dim)
         self.num_classes = int(num_classes)
@@ -359,7 +360,7 @@ ARCHITECTURES = ("rand-cnn", "gamma-cnn", "linear")
 
 
 def build_victim(arch: str, input_dim: int, num_classes: int, seed: int = 0,
-                 sample_rate: int = 16000) -> VictimModel:
+                 sample_rate: int = DEFAULT_SAMPLE_RATE) -> VictimModel:
     if num_classes < 2:
         raise InvalidInputError("victim needs at least 2 classes")
     if arch == "rand-cnn":
@@ -416,7 +417,7 @@ def load_model(path: str | Path) -> VictimModel:
                                   f"the {cls.KIND} fields {list(cls.FIELDS)}")
             layers.append(cls(**{p: blobs[f"layer{i}.{p}"] for p in cls.PARAMS}, **fields))
         input_dim, num_classes = manifest["input_dim"], manifest["num_classes"]
-        sample_rate = manifest.get("sample_rate", 16000)
+        sample_rate = manifest.get("sample_rate", DEFAULT_SAMPLE_RATE)
         if not all(type(n) is int and n >= 1 for n in (input_dim, num_classes, sample_rate)):
             raise FormatError(f"model checkpoint {path}: input_dim, num_classes and sample_rate "
                               "must be positive integers")

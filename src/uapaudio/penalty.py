@@ -73,7 +73,7 @@ class PenaltyConfig:
 class PenaltyResult:
     perturbation: Perturbation
     asr_trace: list[float]  # full-set rate before each update, plus the final check
-    trace: list[dict]  # one record per update: losses, SPL terms, hinge mean
+    trace: list[dict]  # one record per update: least batch loss, SPL of v', hinge mean
     converged: bool
     iterations: int
 
@@ -208,12 +208,8 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
         hinge_grad_w = model.backward_input(caches, dlogits)  # (batch, d)
 
         spl_v = spl(v)
-        losses = spl_v + cfg.c * hinges
         records.append({
-            "iteration": iteration,
-            "asr": current,
-            "loss_mean": float(np.mean(losses)),
-            "loss_min": float(np.min(losses)),
+            "loss_min": float(np.min(spl_v + cfg.c * hinges)),
             "hinge_mean": float(np.mean(hinges)),
             "spl_vprime": spl_v,
         })

@@ -16,6 +16,7 @@ import numpy as np
 from .audio import spl
 from .container import read_container, write_container
 from .exceptions import FormatError, InvalidInputError
+from .tanhspace import TANH_EPSILON
 
 
 @dataclass
@@ -49,12 +50,6 @@ class Perturbation:
     @property
     def dim(self) -> int:
         return int(self.v_signal.size)
-
-    def l2(self) -> float:
-        return float(np.linalg.norm(self.v_signal))
-
-    def linf(self) -> float:
-        return float(np.max(np.abs(self.v_signal)))
 
 
 def _encode_p(p: float | None) -> float | str | None:
@@ -101,11 +96,21 @@ def load_perturbation(path: str | Path) -> Perturbation:
     manifest, blobs = read_container(path)
     if manifest.get("kind") != "perturbation":
         raise FormatError(f"not a perturbation file: {path}")
-    target, xi = manifest.get("target"), manifest.get("xi")
-    if not (target is None or type(target) is int):
-        raise FormatError(f"perturbation file {path}: target must be an integer or null, got {target!r}")
+    target, xi, seed = manifest.get("target"), manifest.get("xi"), manifest.get("seed")
+    train_asr, params = manifest.get("train_asr"), manifest.get("params", {})
+    for name, value in (("target", target), ("seed", seed)):
+        if not (value is None or type(value) is int):
+            raise FormatError(f"perturbation file {path}: {name} must be an integer or null, got {value!r}")
     if not (xi is None or type(xi) in (int, float) and 0.0 < xi < np.inf):
         raise FormatError(f"perturbation file {path}: xi must be a positive finite number or null, got {xi!r}")
+    if not (train_asr is None or type(train_asr) in (int, float) and 0.0 <= train_asr <= 1.0):
+        raise FormatError(f"perturbation file {path}: train_asr must be a number in [0, 1] or null, "
+                          f"got {train_asr!r}")
+    if not isinstance(params, dict):
+        raise FormatError(f"perturbation file {path}: params must be an object, got {params!r}")
+    if params.get("epsilon", TANH_EPSILON) != TANH_EPSILON:
+        raise FormatError(f"perturbation file {path}: params epsilon must be {TANH_EPSILON}, "
+                          f"got {params['epsilon']!r}")
     try:
         return Perturbation(
             v_signal=blobs["v_signal"],
@@ -115,9 +120,9 @@ def load_perturbation(path: str | Path) -> Perturbation:
             target=target,
             p=_decode_p(manifest.get("p")),
             xi=xi,
-            seed=manifest.get("seed"),
-            train_asr=manifest.get("train_asr"),
-            params=manifest.get("params", {}),
+            seed=seed,
+            train_asr=train_asr,
+            params=params,
         )
     except KeyError as exc:
         raise FormatError(f"perturbation file {path} has no entry {exc}") from exc

@@ -3,7 +3,7 @@
 A signal x maps to x' = arctanh((2x - 1)(1 - eps)); adding a perturbation v'
 there and squashing back through tanh yields a perturbed sample that lies
 strictly inside the box by construction, so no waveform clipping is needed.
-The eps guard keeps arctanh finite at the box boundary.
+The fixed guard eps = TANH_EPSILON keeps arctanh finite at the box boundary.
 """
 
 from __future__ import annotations
@@ -21,16 +21,14 @@ TANH_EPSILON = 1e-7
 _SATURATION_GUARD = float(np.finfo(np.float64).eps)
 
 
-def to_tanh_space(x: np.ndarray, epsilon: float = TANH_EPSILON) -> np.ndarray:
+def to_tanh_space(x: np.ndarray) -> np.ndarray:
     """Map signal values in [0, 1] to unconstrained coordinates."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise InvalidInputError("empty signal")
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInputError("epsilon must lie in (0, 1)")
     if not 0.0 <= float(x.min()) <= float(x.max()) <= 1.0:  # NaN fails too
         raise InvalidInputError("signal values must lie in [0, 1]")
-    return np.arctanh((2.0 * x - 1.0) * (1.0 - epsilon))
+    return np.arctanh((2.0 * x - 1.0) * (1.0 - TANH_EPSILON))
 
 
 def perturbed_sample(x_tanh: np.ndarray, v_tanh: np.ndarray) -> np.ndarray:
@@ -58,16 +56,14 @@ def recover_vprime(w: np.ndarray, x_tanh: np.ndarray) -> np.ndarray:
     return 0.5 * (np.log(w) - np.log1p(-w)) - x_tanh
 
 
-def render_signal_v(v_tanh: np.ndarray, epsilon: float = TANH_EPSILON) -> np.ndarray:
+def render_signal_v(v_tanh: np.ndarray) -> np.ndarray:
     """Render a tanh-space perturbation as a signal in [0, 1].
 
     v = (tanh(v') + 1 - eps) / (2 - 2*eps), clamped to the box: beyond
     |v'| = arctanh(1 - eps) the raw formula overshoots [0, 1] by up to eps/2.
     """
     v_tanh = np.asarray(v_tanh, dtype=np.float64)
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInputError("epsilon must lie in (0, 1)")
     if v_tanh.size and not np.all(np.isfinite(v_tanh)):
         raise InvalidInputError("tanh-space perturbation must be finite")
-    v = (np.tanh(v_tanh) + 1.0 - epsilon) / (2.0 - 2.0 * epsilon)
+    v = (np.tanh(v_tanh) + 1.0 - TANH_EPSILON) / (2.0 - 2.0 * TANH_EPSILON)
     return np.clip(v, 0.0, 1.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import uapaudio
+from uapaudio import cli
 from uapaudio.cli import main
 
 
@@ -199,6 +200,24 @@ class TestDeterminism:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
 
+class TestParser:
+    @pytest.mark.parametrize("argv,expected", [
+        (["sweep", "confidence", "--model", "m.uapc", "--data", "d", "--out", "o.csv"],
+         {"batch": 100, "c": None, "command": "sweep", "data": "d", "delta": 0.1, "grid": None,
+          "iters": 100, "m": None, "mode": "untargeted", "model": "m.uapc", "out": "o.csv",
+          "seed": 0, "target": None, "what": "confidence", "func": cli._cmd_sweep}),
+        (["transfer", "--models", "a.uapc,b.uapc", "--data", "d", "--out", "t.csv",
+          "--method", "greedy", "--mode", "targeted", "--target", "1", "--c", "2.5",
+          "--kappa", "4", "--batch", "7", "--iters", "5", "--seed", "3", "--m", "9"],
+         {"batch": 7, "c": 2.5, "command": "transfer", "data": "d", "iters": 5, "kappa": 4.0,
+          "m": 9, "method": "greedy", "mode": "targeted", "models": "a.uapc,b.uapc",
+          "out": "t.csv", "seed": 3, "target": 1, "func": cli._cmd_transfer}),
+    ], ids=["sweep-defaults", "transfer-all-flags"])
+    def test_parsed_arguments(self, argv, expected):
+        # the namespace is what run.json records as the command's args
+        assert vars(cli.build_parser().parse_args(argv)) == expected
+
+
 class TestErrors:
     def test_missing_model_file(self, workspace, capsys):
         rc = main(["evaluate", "--model", str(workspace / "nope.uapc"),
@@ -302,8 +321,11 @@ class TestErrors:
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("entry", [{"target": "x"}, {"target": 7}, {"xi": -1.0}, {"xi": "wide"}],
-                             ids=["target-str", "target-7", "xi-negative", "xi-str"])
+    @pytest.mark.parametrize("entry", [{"target": "x"}, {"target": 7}, {"xi": -1.0}, {"xi": "wide"},
+                                       {"train_asr": "high"}, {"seed": "s"}, {"params": [1.0]},
+                                       {"params": {"epsilon": "x"}}, {"params": {"epsilon": 0.5}}],
+                             ids=["target-str", "target-7", "xi-negative", "xi-str", "train-asr-str",
+                                  "seed-str", "params-list", "epsilon-str", "epsilon-half"])
     def test_bad_perturbation_entry_exits_2(self, workspace, tmp_path, capsys, entry):
         from uapaudio.container import read_container, write_container
 
@@ -317,6 +339,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and next(iter(entry)) in err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_out_of_range_label_in_dataset(self, workspace, tmp_path, capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        labels = (data / "labels.csv").read_text().replace(",1,test", ",-1,test", 1)
+        (data / "labels.csv").write_text(labels)
+        rc = main(["train-victim", "--arch", "linear", "--data", str(data),
+                   "--out", str(tmp_path / "v.uapc")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "label -1" in err
+        assert not (tmp_path / "v.uapc").exists()
 
     def test_invalid_generation_arguments(self, tmp_path, capsys):
         rc = main(["gen-data", "--classes", "1", "--per-class", "3", "--dim", "256",

@@ -151,10 +151,13 @@ class TestPerturbation:
         base.update(kw)
         return Perturbation(**base)
 
-    def test_norm_helpers(self):
+    def test_norm_helpers(self, tmp_path):
+        # the saved manifest records the norms of the stored vector
         pert = Perturbation(np.array([0.3, -0.4]), method="greedy", mode="untargeted")
-        assert pert.l2() == pytest.approx(0.5)
-        assert pert.linf() == pytest.approx(0.4)
+        save_perturbation(pert, tmp_path / "p.uapc")
+        norms = read_container(tmp_path / "p.uapc")[0]["norms"]
+        assert norms["l2"] == pytest.approx(0.5)
+        assert norms["linf"] == pytest.approx(0.4)
         assert pert.dim == 2
 
     def test_validation(self):

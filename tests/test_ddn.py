@@ -22,10 +22,12 @@ class TestConfigValidation:
             InnerAttackConfig(gamma=0.0)
         with pytest.raises(InvalidInputError):
             InnerAttackConfig(gamma=1.0)
-        with pytest.raises(InvalidInputError):
-            InnerAttackConfig(mode="sideways")
-        with pytest.raises(InvalidInputError):
-            InnerAttackConfig(mode="targeted")
+        model, x, cfg = two_class_model(np.ones(8), 0.0), np.full(8, 0.5), InnerAttackConfig()
+        with pytest.raises(InvalidInputError, match="target class"):
+            ddn_minimal_perturbation(model, x, cfg, "targeted")
+        for reference in (2, -1):  # the model has classes 0 and 1
+            with pytest.raises(InvalidInputError, match="not a class"):
+                ddn_minimal_perturbation(model, x, cfg, "untargeted", reference)
 
     def test_rejects_bad_samples(self, rng):
         model = two_class_model(rng.normal(size=8), 0.0)
@@ -85,9 +87,9 @@ class TestHyperplaneOracle:
         w = rng.normal(size=(16, 3))
         model = linear_victim_from_params(w, np.zeros(3))
         x = rng.uniform(0.3, 0.7, 16)
+        cfg = InnerAttackConfig(steps=40)
         for target in range(3):
-            cfg = InnerAttackConfig(steps=40, mode="targeted", target=target)
-            res = ddn_minimal_perturbation(model, x, cfg)
+            res = ddn_minimal_perturbation(model, x, cfg, "targeted", target)
             assert res.success
             assert model.predict(np.clip(x + res.delta, 0.0, 1.0)) == target
 

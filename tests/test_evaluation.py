@@ -268,9 +268,8 @@ class TestSingleSample:
     def test_one_report_per_class_sorted(self, victim, train_xy, test_xy):
         x, y = train_xy
         picks = [int(np.flatnonzero(y == k)[0]) for k in (2, 0, 1)]
-        cfg = PenaltyConfig(c=20.0, kappa=90.0, batch_size=1, seed=0)
-        results = single_sample_attack(victim, x[picks], y[picks], test_xy,
-                                       cfg=cfg, iters=19)
+        cfg = PenaltyConfig(c=20.0, kappa=90.0, batch_size=1, max_iters=19, seed=0)
+        results = single_sample_attack(victim, x[picks], y[picks], test_xy, cfg=cfg)
         assert [label for label, _ in results] == [0, 1, 2]
         for _, report in results:
             assert report.method == "penalty"

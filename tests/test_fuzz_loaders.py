@@ -3,6 +3,8 @@
 Inputs are valid files cut short at any offset, with one byte replaced, with a
 manifest key deleted, with a blob's recorded shape changed, or with one
 non-finite parameter value. Any exception other than UapAudioError fails.
+Files whose entries are well formed but of the wrong type or out of range
+must raise FormatError.
 """
 
 import json
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uapaudio import (
+    FormatError,
     Perturbation,
     UapAudioError,
     build_victim,
@@ -177,3 +180,36 @@ class TestDatasetDir:
         del manifest[data.draw(st.sampled_from(sorted(manifest)))]
         root = _write_dataset(originals, workdir, {"data/manifest.json": json.dumps(manifest).encode()})
         _loads_or_typed_error(load_dataset_dir, root)
+
+
+class TestWellTypedOutOfRange:
+    @pytest.mark.parametrize("entry", [{"num_classes": 0}, {"num_classes": 1}, {"dim": "128"},
+                                       {"sample_rate": 16000.7}, {"sample_rate": 0}, {"dim": 0}],
+                             ids=["classes-0", "classes-1", "dim-str", "rate-float", "rate-0", "dim-0"])
+    def test_dataset_manifest(self, originals, tmp_path, entry):
+        manifest = json.loads(originals["data/manifest.json"])
+        manifest.update(entry)
+        root = _write_dataset(originals, tmp_path, {"data/manifest.json": json.dumps(manifest).encode()})
+        with pytest.raises(FormatError, match="manifest"):
+            load_dataset_dir(root)
+
+    @pytest.mark.parametrize("label", ["7", "-1", "2"])
+    def test_dataset_label(self, originals, tmp_path, label):
+        # the set has 2 classes: labels must lie in [0, 2)
+        csv = originals["data/labels.csv"].decode().replace(",1,test", f",{label},test", 1)
+        root = _write_dataset(originals, tmp_path, {"data/labels.csv": csv.encode()})
+        with pytest.raises(FormatError, match=f"label {label} "):
+            load_dataset_dir(root)
+
+    @pytest.mark.parametrize("entry", [{"train_asr": "high"}, {"train_asr": 1.5}, {"train_asr": True},
+                                       {"seed": "s"}, {"seed": 1.0}, {"params": [1.0]},
+                                       {"params": {"epsilon": "x"}}, {"params": {"epsilon": 0.5}}],
+                             ids=["train-asr-str", "train-asr-1.5", "train-asr-bool", "seed-str",
+                                  "seed-float", "params-list", "epsilon-str", "epsilon-half"])
+    def test_perturbation_entry(self, originals, tmp_path, entry):
+        manifest, payload = _split(originals["pert.uapc"])
+        manifest.update(entry)
+        f = tmp_path / "pert.uapc"
+        f.write_bytes(_raw_container(manifest, payload))
+        with pytest.raises(FormatError, match=next(iter(entry))):
+            load_perturbation(f)
