@@ -61,22 +61,9 @@ from .models import (
     train,
 )
 from .optim import AdamState, adam_update
-from .penalty import (
-    PenaltyConfig,
-    PenaltyResult,
-    hinge_targeted,
-    hinge_untargeted,
-    penalty_loss,
-    penalty_uap,
-)
+from .penalty import PenaltyConfig, PenaltyResult, penalty_uap
 from .perturbation import Perturbation, load_perturbation, save_perturbation
-from .tanhspace import (
-    TANH_EPSILON,
-    perturbed_sample,
-    recover_vprime,
-    render_signal_v,
-    to_tanh_space,
-)
+from .tanhspace import TANH_EPSILON, perturbed_sample, render_signal_v, to_tanh_space
 
 __version__ = "0.1.0"
 
@@ -120,17 +107,13 @@ __all__ = [
     "evaluate_uap",
     "generate_synthetic_dataset",
     "greedy_uap",
-    "hinge_targeted",
-    "hinge_untargeted",
     "load_dataset_dir",
     "load_model",
     "load_perturbation",
     "load_wav",
-    "penalty_loss",
     "penalty_uap",
     "perturbed_sample",
     "project_lp",
-    "recover_vprime",
     "rel_loudness",
     "render_signal_v",
     "report_summary",

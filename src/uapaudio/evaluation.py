@@ -183,8 +183,8 @@ def two_proportion_z(p_l: float, p_h: float, m: int,
     """
     if not 0.0 <= p_l <= p_h <= 1.0:
         raise InvalidInputError("need 0 <= p_l <= p_h <= 1")
-    if m < 1:
-        raise InvalidInputError("m must be >= 1")
+    if not 1 <= m < np.inf:  # NaN fails too
+        raise InvalidInputError("m must be finite and >= 1")
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError("alpha must lie in (0, 1)")
     pooled = (p_l + p_h) / 2.0

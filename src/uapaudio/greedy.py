@@ -55,8 +55,8 @@ class GreedyResult:
 
 def project_lp(v: np.ndarray, p: float, xi: float) -> np.ndarray:
     """Euclidean projection onto the Lp ball of radius xi, p in {2, inf}."""
-    if xi <= 0.0:
-        raise InvalidInputError("xi must be positive")
+    if not 0.0 < xi < np.inf:  # NaN fails too
+        raise InvalidInputError("xi must be positive and finite")
     v = np.asarray(v, dtype=np.float64)
     if np.isinf(p):
         return np.clip(v, -xi, xi)

@@ -374,13 +374,6 @@ def build_victim(arch: str, input_dim: int, num_classes: int, seed: int = 0,
     return VictimModel(layers, input_dim, num_classes, arch=arch, seed=seed, sample_rate=sample_rate)
 
 
-def linear_victim_from_params(weight: np.ndarray, bias: np.ndarray) -> VictimModel:
-    """Linear model with explicit (d, C) weights, for closed-form oracles."""
-    weight = np.asarray(weight, dtype=np.float64)
-    return VictimModel([Flatten(), Dense(weight, np.asarray(bias, dtype=np.float64))],
-                       input_dim=weight.shape[0], num_classes=weight.shape[1], arch="linear")
-
-
 # -- checkpoints ---------------------------------------------------------------
 
 

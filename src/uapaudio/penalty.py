@@ -6,14 +6,13 @@ on the victim's logits:
     L(w_i) = SPL(v') + c * G(logits(w_i))      w_i = squash(x'_i + v')
 
 where G is floored at -kappa and vanishes (at kappa = 0) exactly when the
-attack condition holds. Gradients are accumulated over a mini-batch as a plain
-sum and applied with Adam at AdamState's default settings (step size 0.01);
-the perturbed samples never need clipping because the squash keeps them
-strictly inside (0, 1).
-
-The loop's SPL term is evaluated at v' directly. Recovering it from w_i gives
-the same value in exact arithmetic but adds tanh round-trip noise; the
-standalone penalty_loss keeps the literal recovery form.
+attack condition holds. SPL is evaluated at v' directly (recovering v' from
+w_i gives the same value in exact arithmetic, plus tanh round-trip noise).
+_objective is the one implementation of the objective and its gradient
+w.r.t. v': every update of the loop descends it, summed over a mini-batch and
+applied with Adam at AdamState's default settings (step size 0.01). The
+perturbed samples never need clipping because the squash keeps them strictly
+inside (0, 1).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .greedy import project_lp
 from .models import VictimModel
 from .optim import AdamState, adam_update, seeded_batches
 from .perturbation import Perturbation, _encode_p
-from .tanhspace import TANH_EPSILON, perturbed_sample, recover_vprime, render_signal_v, to_tanh_space
+from .tanhspace import TANH_EPSILON, perturbed_sample, render_signal_v, to_tanh_space
 
 _LOG10_SCALE = 20.0 / np.log(10.0)
 
@@ -78,26 +77,6 @@ class PenaltyResult:
     iterations: int
 
 
-def hinge_targeted(logits: np.ndarray, target: int, kappa: float) -> float:
-    """max(best-other logit - target logit, -kappa); zero iff target on top at kappa=0."""
-    return _hinge_row(logits, target, kappa, "targeted")
-
-
-def hinge_untargeted(logits: np.ndarray, label: int, kappa: float) -> float:
-    """max(label logit - best-other logit, -kappa); zero iff label dethroned at kappa=0."""
-    return _hinge_row(logits, label, kappa, "untargeted")
-
-
-def _hinge_row(logits: np.ndarray, ref: int, kappa: float, mode: str) -> float:
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size < 2:
-        raise InvalidInputError("need a logit vector with at least 2 classes")
-    if not 0 <= ref < logits.size:
-        raise InvalidInputError("reference class out of range")
-    values, _ = _hinge_batch(logits[None], np.array([ref]), kappa, mode)
-    return float(values[0])
-
-
 def _hinge_batch(logits: np.ndarray, refs: np.ndarray, kappa: float,
                  mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Hinge values and subgradients w.r.t. logits for a batch.
@@ -128,24 +107,21 @@ def _spl_gradient(u: np.ndarray) -> np.ndarray:
     return _LOG10_SCALE * u / float(np.dot(u, u))
 
 
-def penalty_loss(model: VictimModel, w: np.ndarray, x_tanh: np.ndarray, reference: int,
-                 c: float, kappa: float, mode: str = "untargeted") -> tuple[float, np.ndarray]:
-    """Objective value and its gradient w.r.t. the perturbed sample w.
+def _objective(model: VictimModel, x_tanh: np.ndarray, v: np.ndarray, refs: np.ndarray,
+               c: float, kappa: float, mode: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """SPL(v'), each batch row's hinge, and the gradient w.r.t. v' of the batch sum.
 
-    The SPL term is computed on the perturbation recovered from w, so the
-    returned gradient is the true gradient of the evaluated expression.
+    The sum is sum_i SPL(v') + c * G(logits(w_i)) over the rows
+    w_i = squash(x'_i + v'); penalty_uap descends this gradient.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise InvalidInputError("w must be a nonempty vector")
-    u = recover_vprime(w, x_tanh)  # raises at the 0/1 singularities
+    w = perturbed_sample(x_tanh, v)
     logits, caches = model.forward_cached(w)
-    values, dlogits = _hinge_batch(logits, np.array([reference]), kappa, mode)
-    hinge_grad_w = model.backward_input(caches, dlogits)[0]
-    loss = spl(u) + c * float(values[0])
-    du_dw = 1.0 / (2.0 * w * (1.0 - w))
-    grad = _spl_gradient(u) * du_dw + c * hinge_grad_w
-    return float(loss), grad
+    hinges, dlogits = _hinge_batch(logits, refs, kappa, mode)
+    hinge_grad_w = model.backward_input(caches, dlogits)  # (batch, d)
+    # d(w)/d(v') = sech^2(x'+v')/2 = 2w(1-w); plain sum over the batch
+    chain = 2.0 * w * (1.0 - w)
+    grad = len(refs) * _spl_gradient(v) + c * np.sum(hinge_grad_w * chain, axis=0)
+    return spl(v), hinges, grad
 
 
 def _asr_tanh(model: VictimModel, x_tanh: np.ndarray, v_tanh: np.ndarray,
@@ -201,22 +177,13 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
             break
 
         batch = next(batches)
-        w = perturbed_sample(x_tanh[batch], v)
-        logits, caches = model.forward_cached(w)
         refs = np.full(batch.size, cfg.target) if cfg.mode == "targeted" else y[batch]
-        hinges, dlogits = _hinge_batch(logits, refs, cfg.kappa, cfg.mode)
-        hinge_grad_w = model.backward_input(caches, dlogits)  # (batch, d)
-
-        spl_v = spl(v)
+        spl_v, hinges, grad = _objective(model, x_tanh[batch], v, refs, cfg.c, cfg.kappa, cfg.mode)
         records.append({
             "loss_min": float(np.min(spl_v + cfg.c * hinges)),
             "hinge_mean": float(np.mean(hinges)),
             "spl_vprime": spl_v,
         })
-
-        # d(w)/d(v') = sech^2(x'+v')/2 = 2w(1-w); plain sum over the batch
-        chain = 2.0 * w * (1.0 - w)
-        grad = batch.size * _spl_gradient(v) + cfg.c * np.sum(hinge_grad_w * chain, axis=0)
         step, adam = adam_update(adam, grad)
         v = v + step
         if cfg.project is not None:

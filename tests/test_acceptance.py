@@ -19,20 +19,19 @@ from uapaudio import (
     evaluate_uap,
     generate_synthetic_dataset,
     greedy_uap,
-    hinge_targeted,
-    hinge_untargeted,
-    penalty_loss,
     penalty_uap,
     project_lp,
-    recover_vprime,
     rel_loudness,
     to_tanh_space,
     train,
     two_proportion_z,
 )
 from uapaudio.cli import main as cli_main
-from uapaudio.models import ARCHITECTURES, accuracy, linear_victim_from_params
-from uapaudio.tanhspace import perturbed_sample
+from uapaudio.models import ARCHITECTURES, accuracy
+from uapaudio.penalty import _hinge_batch, _objective
+from uapaudio.tanhspace import perturbed_sample, recover_vprime
+
+from oracles import linear_victim_from_params
 
 
 # -- shared desk-scale bundle (criteria 5 and 6) -------------------------------
@@ -93,17 +92,25 @@ def test_criterion_1_math_identities():
         logits = rng.uniform(-10.0, 10.0, k)
         ref = int(rng.integers(0, k))
         others = np.delete(logits, ref)
-        untgt = hinge_untargeted(logits, ref, 0.0)
+        untgt = _hinge_batch(logits[None], np.array([ref]), 0.0, "untargeted")[0][0]
         assert (untgt == 0.0) == (others.max() >= logits[ref])
-        tgt = hinge_targeted(logits, ref, 0.0)
+        tgt = _hinge_batch(logits[None], np.array([ref]), 0.0, "targeted")[0][0]
         assert (tgt == 0.0) == (logits[ref] >= others.max())
         assert untgt >= 0.0 and tgt >= 0.0
 
     assert time.perf_counter() - started < 10.0
 
 
+def _one_row_objective(model, x_tanh, v, ref):
+    # L = SPL(v') + c * G(logits(squash(x' + v'))) at c = 1, kappa = 50
+    spl_v, hinges, grad = _objective(model, x_tanh[None], v, np.array([ref]), 1.0, 50.0,
+                                     "untargeted")
+    return spl_v + 1.0 * hinges[0], grad
+
+
 def test_criterion_2_objective_gradient():
-    """Analytic gradient vs central differences, 10 triples per architecture.
+    """Analytic gradient w.r.t. v', the one the penalty craft descends, vs
+    central differences, 10 triples per architecture.
 
     Relative error below 1e-3 at step 1e-4, all under 60 s.
     """
@@ -116,14 +123,13 @@ def test_criterion_2_objective_gradient():
             x = rng.uniform(0.2, 0.8, 1024)
             x_tanh = to_tanh_space(x)
             v = rng.normal(scale=0.3, size=1024)
-            w = perturbed_sample(x_tanh, v)
             ref = int(rng.integers(0, 3))
-            _, grad = penalty_loss(model, w, x_tanh, ref, c=1.0, kappa=50.0)
+            _, grad = _one_row_objective(model, x_tanh, v, ref)
             for i in rng.choice(1024, size=3, replace=False):
                 e = np.zeros(1024)
                 e[i] = step
-                hi, _ = penalty_loss(model, w + e, x_tanh, ref, 1.0, 50.0)
-                lo, _ = penalty_loss(model, w - e, x_tanh, ref, 1.0, 50.0)
+                hi, _ = _one_row_objective(model, x_tanh, v + e, ref)
+                lo, _ = _one_row_objective(model, x_tanh, v - e, ref)
                 fd = (hi - lo) / (2.0 * step)
                 assert abs(grad[i] - fd) <= 1e-3 * max(abs(fd), 1e-6)
     assert time.perf_counter() - started < 60.0

@@ -1,5 +1,8 @@
 """The package's public name list."""
 
+import ast
+from pathlib import Path
+
 import uapaudio
 
 
@@ -10,3 +13,27 @@ def test_all_is_sorted_without_duplicates():
 def test_every_public_name_resolves():
     for name in uapaudio.__all__:
         assert hasattr(uapaudio, name), name
+
+
+def _names_used_outside_tests(root: Path) -> set[str]:
+    """Names, attributes and string constants in the package, scripts and benchmark."""
+    files = [p for p in (root / "src" / "uapaudio").glob("*.py") if p.name != "__init__.py"]
+    files += (root / "scripts").glob("*.py")
+    files += [p for p in (root / "perfbench").rglob("*.py")
+              if root / "perfbench" / "tests" not in p.parents]
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return used
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """A public name that only tests use is a wrapper to delete, not API."""
+    used = _names_used_outside_tests(Path(__file__).resolve().parent.parent)
+    assert sorted(set(uapaudio.__all__) - used) == []

@@ -17,8 +17,10 @@ from uapaudio import (
     generate_synthetic_dataset,
     greedy_uap,
     penalty_uap,
+    project_lp,
     to_tanh_space,
     train,
+    two_proportion_z,
 )
 
 non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -64,6 +66,19 @@ def test_penalty_projection_rejects_non_finite_radius():
             PenaltyConfig(project=(2.0, xi))
     with pytest.raises(InvalidInputError):
         PenaltyConfig(project=(np.nan, 1.0))
+
+
+@pytest.mark.parametrize("p", [2.0, np.inf])
+@given(xi=not_positive)
+def test_projection_rejects_non_finite_and_non_positive_radius(p, xi):
+    with pytest.raises(InvalidInputError):
+        project_lp(np.ones(3), p, xi)
+
+
+@given(m=below(1))
+def test_z_test_rejects_non_finite_and_non_positive_count(m):
+    with pytest.raises(InvalidInputError):
+        two_proportion_z(0.4, 0.6, m)
 
 
 _TINY = generate_synthetic_dataset(2, 2, 256, seed=0)

@@ -5,7 +5,8 @@ import pytest
 
 from uapaudio import InnerAttackConfig, InvalidInputError, ddn_minimal_perturbation
 from uapaudio.ddn import check_mode, fooled
-from uapaudio.models import linear_victim_from_params
+
+from oracles import linear_victim_from_params
 
 
 def two_class_model(w, b):

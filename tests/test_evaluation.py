@@ -24,7 +24,8 @@ from uapaudio import (
 )
 from uapaudio.container import read_csv
 from uapaudio.evaluation import REPORT_COLUMNS, confidence_sweep_rows, datacount_sweep_rows
-from uapaudio.models import linear_victim_from_params
+
+from oracles import linear_victim_from_params
 
 
 def axis_model():

@@ -14,7 +14,8 @@ from uapaudio import (
     greedy_uap,
     project_lp,
 )
-from uapaudio.models import linear_victim_from_params
+
+from oracles import linear_victim_from_params
 
 vectors = st.lists(
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False), min_size=1, max_size=32

@@ -17,8 +17,10 @@ from uapaudio import (
     save_model,
     train,
 )
-from uapaudio.models import cross_entropy_grad, linear_victim_from_params, softmax
+from uapaudio.models import cross_entropy_grad, softmax
 from uapaudio.optim import AdamState, adam_update, seeded_batches
+
+from oracles import linear_victim_from_params
 
 
 class TestLinearClosedForm:

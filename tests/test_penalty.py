@@ -11,48 +11,49 @@ from uapaudio import (
     PenaltyConfig,
     build_victim,
     generate_synthetic_dataset,
-    hinge_targeted,
-    hinge_untargeted,
-    penalty_loss,
     penalty_uap,
-    render_signal_v,
     to_tanh_space,
     train,
 )
-from uapaudio.models import linear_victim_from_params
-from uapaudio.penalty import _hinge_batch
+from uapaudio.penalty import _hinge_batch, _objective
 from uapaudio.tanhspace import perturbed_sample
+
+from oracles import linear_victim_from_params
 
 logit_vectors = st.lists(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False), min_size=2, max_size=8
 ).map(np.asarray)
 
 
+def hinge(logits, ref, kappa, mode):
+    """The batch hinge of a single logit vector."""
+    values, _ = _hinge_batch(np.asarray(logits)[None], np.array([ref]), kappa, mode)
+    return values[0]
+
+
+def one_row_loss(model, x_tanh, v, ref, c, kappa, mode="untargeted"):
+    """SPL(v') + c * G for one sample, and its gradient w.r.t. v'."""
+    spl_v, hinges, grad = _objective(model, x_tanh[None], v, np.array([ref]), c, kappa, mode)
+    return spl_v + c * hinges[0], grad
+
+
 class TestHinge:
     def test_untargeted_examples(self):
-        assert hinge_untargeted(np.array([3.0, 1.0]), 0, 0.0) == 2.0
-        assert hinge_untargeted(np.array([1.0, 3.0]), 0, 0.0) == 0.0
-        assert hinge_untargeted(np.array([1.0, 3.0]), 0, 5.0) == -2.0
-        assert hinge_untargeted(np.array([1.0, 9.0]), 0, 5.0) == -5.0
+        assert hinge([3.0, 1.0], 0, 0.0, "untargeted") == 2.0
+        assert hinge([1.0, 3.0], 0, 0.0, "untargeted") == 0.0
+        assert hinge([1.0, 3.0], 0, 5.0, "untargeted") == -2.0
+        assert hinge([1.0, 9.0], 0, 5.0, "untargeted") == -5.0
 
     def test_targeted_examples(self):
-        assert hinge_targeted(np.array([3.0, 1.0, 2.0]), 1, 0.0) == 2.0
-        assert hinge_targeted(np.array([1.0, 5.0, 2.0]), 1, 10.0) == -3.0
-        assert hinge_targeted(np.array([0.0, 20.0, 1.0]), 1, 5.0) == -5.0
-
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            hinge_untargeted(np.array([1.0, 2.0]), 2, 0.0)
-        with pytest.raises(InvalidInputError):
-            hinge_targeted(np.array([1.0]), 0, 0.0)
-        with pytest.raises(InvalidInputError):
-            hinge_untargeted(np.ones((2, 2)), 0, 0.0)
+        assert hinge([3.0, 1.0, 2.0], 1, 0.0, "targeted") == 2.0
+        assert hinge([1.0, 5.0, 2.0], 1, 10.0, "targeted") == -3.0
+        assert hinge([0.0, 20.0, 1.0], 1, 5.0, "targeted") == -5.0
 
     @given(logit_vectors, st.integers(min_value=0, max_value=7))
     def test_zero_kappa_dichotomy(self, logits, label):
         """At kappa = 0 the hinge vanishes exactly when the label is dethroned."""
         label %= logits.size
-        value = hinge_untargeted(logits, label, 0.0)
+        value = hinge(logits, label, 0.0, "untargeted")
         others = np.delete(logits, label)
         if logits[label] > others.max():
             assert value > 0.0
@@ -63,33 +64,22 @@ class TestHinge:
            st.floats(min_value=0.0, max_value=100.0))
     def test_floor_and_formula(self, logits, target, kappa):
         target %= logits.size
-        value = hinge_targeted(logits, target, kappa)
+        value = hinge(logits, target, kappa, "targeted")
         others = np.delete(logits, target)
         assert value == max(float(others.max() - logits[target]), -kappa)
         assert value >= -kappa
-
-    @given(st.data(), st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=6),
-           st.floats(min_value=0.0, max_value=100.0))
-    def test_scalar_equals_batch_row(self, data, classes, rows, kappa):
-        """The scalar hinges are exactly the matching row of the batched hinge."""
-        row = st.lists(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-                       min_size=classes, max_size=classes)
-        logits = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
-        refs = np.array(data.draw(st.lists(st.integers(0, classes - 1), min_size=rows, max_size=rows)))
-        for mode, scalar in (("untargeted", hinge_untargeted), ("targeted", hinge_targeted)):
-            values, _ = _hinge_batch(logits, refs, kappa, mode)
-            for i in range(rows):
-                assert scalar(logits[i], int(refs[i]), kappa) == values[i]
 
     @given(logit_vectors, st.integers(min_value=0, max_value=7),
            st.floats(min_value=-30.0, max_value=30.0))
     def test_shift_invariant(self, logits, label, shift):
         label %= logits.size
-        assert hinge_untargeted(logits + shift, label, 7.0) == pytest.approx(
-            hinge_untargeted(logits, label, 7.0), abs=1e-9)
+        assert hinge(logits + shift, label, 7.0, "untargeted") == pytest.approx(
+            hinge(logits, label, 7.0, "untargeted"), abs=1e-9)
 
 
 class TestPenaltyLoss:
+    """The objective and its gradient w.r.t. v', as the descent loop uses them."""
+
     def _setup(self, rng, d=32):
         weight = rng.normal(size=(d, 3))
         model = linear_victim_from_params(weight, np.zeros(3))
@@ -98,52 +88,66 @@ class TestPenaltyLoss:
 
     def test_zero_perturbation_hits_spl_floor(self, rng):
         model, x, x_tanh = self._setup(rng)
-        w = perturbed_sample(x_tanh, np.zeros_like(x_tanh))
-        loss, _ = penalty_loss(model, w, x_tanh, reference=0, c=0.5, kappa=10.0)
-        expected_hinge = hinge_untargeted(model.logits(w), 0, 10.0)
+        zero = np.zeros_like(x_tanh)
+        loss, _ = one_row_loss(model, x_tanh, zero, ref=0, c=0.5, kappa=10.0)
+        w = perturbed_sample(x_tanh, zero)
+        expected_hinge = hinge(model.logits(w), 0, 10.0, "untargeted")
         assert loss == pytest.approx(-240.0 + 0.5 * expected_hinge, abs=1e-9)
 
     def test_satisfied_attack_reduces_to_spl(self, rng):
         model, x, x_tanh = self._setup(rng)
         label = int(model.predict(x))
         loser = 1 - label if label <= 1 else 0
-        w = perturbed_sample(x_tanh, np.zeros_like(x_tanh))
         # at kappa = 0 a dethroned reference contributes exactly nothing
-        loss, _ = penalty_loss(model, w, x_tanh, reference=loser, c=3.0, kappa=0.0)
+        loss, _ = one_row_loss(model, x_tanh, np.zeros_like(x_tanh), ref=loser, c=3.0, kappa=0.0)
         assert loss == -240.0
 
     def test_gradient_matches_central_differences(self, rng):
         model, x, x_tanh = self._setup(rng)
         v = rng.normal(scale=0.3, size=x.size)
-        w = perturbed_sample(x_tanh, v)
-        loss, grad = penalty_loss(model, w, x_tanh, reference=int(model.predict(x)),
-                                  c=0.4, kappa=25.0)
+        ref = int(model.predict(x))
+        _, grad = one_row_loss(model, x_tanh, v, ref, c=0.4, kappa=25.0)
         step = 1e-6
         for i in rng.choice(x.size, size=8, replace=False):
             e = np.zeros(x.size)
             e[i] = step
-            hi, _ = penalty_loss(model, w + e, x_tanh, int(model.predict(x)), 0.4, 25.0)
-            lo, _ = penalty_loss(model, w - e, x_tanh, int(model.predict(x)), 0.4, 25.0)
+            hi, _ = one_row_loss(model, x_tanh, v + e, ref, 0.4, 25.0)
+            lo, _ = one_row_loss(model, x_tanh, v - e, ref, 0.4, 25.0)
             assert grad[i] == pytest.approx((hi - lo) / (2 * step), rel=1e-3, abs=1e-8)
 
     def test_targeted_mode_gradient(self, rng):
         model, x, x_tanh = self._setup(rng)
         v = rng.normal(scale=0.2, size=x.size)
-        w = perturbed_sample(x_tanh, v)
-        _, grad = penalty_loss(model, w, x_tanh, reference=2, c=1.0, kappa=30.0,
-                               mode="targeted")
+        _, grad = one_row_loss(model, x_tanh, v, ref=2, c=1.0, kappa=30.0, mode="targeted")
         step = 1e-6
         for i in [0, 7, 19]:
             e = np.zeros(x.size)
             e[i] = step
-            hi, _ = penalty_loss(model, w + e, x_tanh, 2, 1.0, 30.0, mode="targeted")
-            lo, _ = penalty_loss(model, w - e, x_tanh, 2, 1.0, 30.0, mode="targeted")
+            hi, _ = one_row_loss(model, x_tanh, v + e, 2, 1.0, 30.0, mode="targeted")
+            lo, _ = one_row_loss(model, x_tanh, v - e, 2, 1.0, 30.0, mode="targeted")
             assert grad[i] == pytest.approx((hi - lo) / (2 * step), rel=1e-3, abs=1e-8)
 
-    def test_rejects_bad_w(self, rng):
-        model, x, x_tanh = self._setup(rng, d=4)
-        with pytest.raises(InvalidInputError):
-            penalty_loss(model, np.full((2, 4), 0.5), x_tanh, 0, 0.2, 40.0)
+    @pytest.mark.parametrize("mode,refs", [("untargeted", [0, 1, 2, 1]),
+                                           ("targeted", [2, 2, 2, 2])])
+    def test_batch_gradient_matches_central_differences(self, rng, mode, refs):
+        """Over a 4-row batch the gradient carries the SPL term once per row and
+        each row's own squash chain: sum_i SPL(v') + c * G_i."""
+        model = build_victim("rand-cnn", 1024, 3, seed=5)
+        x_tanh = to_tanh_space(rng.uniform(0.2, 0.8, (4, 1024)))
+        v = rng.normal(scale=0.3, size=1024)
+        refs = np.array(refs)
+
+        def loss(v):
+            spl_v, hinges, _ = _objective(model, x_tanh, v, refs, 1.0, 50.0, mode)
+            return refs.size * spl_v + 1.0 * float(np.sum(hinges))
+
+        _, _, grad = _objective(model, x_tanh, v, refs, 1.0, 50.0, mode)
+        step = 1e-4
+        for i in rng.choice(1024, size=6, replace=False):
+            e = np.zeros(1024)
+            e[i] = step
+            fd = (loss(v + e) - loss(v - e)) / (2.0 * step)
+            assert abs(grad[i] - fd) <= 1e-3 * max(abs(fd), 1e-6)
 
 
 class TestPenaltyConfig:
@@ -208,7 +212,7 @@ class TestPenaltyLoop:
             total = 0.0
             for i in range(3):
                 w = perturbed_sample(x_tanh[i], v)
-                total += -240.0 + cfg.c * hinge_untargeted(model.logits(w), y[i], cfg.kappa)
+                total += -240.0 + cfg.c * hinge(model.logits(w), y[i], cfg.kappa, "untargeted")
             return total
 
         v_after = res.perturbation.v_tanh

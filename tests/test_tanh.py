@@ -9,10 +9,10 @@ from uapaudio import (
     InvalidInputError,
     SingularityError,
     perturbed_sample,
-    recover_vprime,
     render_signal_v,
     to_tanh_space,
 )
+from uapaudio.tanhspace import recover_vprime
 
 unit_signals = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=64
