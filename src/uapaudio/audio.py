@@ -45,6 +45,12 @@ class AudioSample:
         return int(self.samples.size)
 
 
+def _check_samples(x: np.ndarray) -> None:
+    """Reject an empty array or one holding a value outside [0, 1]; NaN fails too."""
+    if x.size == 0 or not 0.0 <= float(x.min()) <= float(x.max()) <= 1.0:
+        raise InvalidInputError("samples must be non-empty and lie in [0, 1]")
+
+
 def rms_power(v: np.ndarray) -> float:
     """Root mean square of a signal vector."""
     v = np.asarray(v, dtype=np.float64)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import _check_samples
 from .exceptions import InvalidInputError
 from .models import VictimModel, cross_entropy_grad
 
@@ -78,8 +79,7 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidInputError("inner attack expects a single sample")
-    if not 0.0 <= float(x.min()) <= float(x.max()) <= 1.0:  # NaN fails too
-        raise InvalidInputError("sample must lie in [0, 1]")
+    _check_samples(x)
     check_mode(mode, reference_class, model.num_classes)
     if reference_class is None:
         reference_class = int(model.predict(x))

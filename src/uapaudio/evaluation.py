@@ -16,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .audio import rel_loudness, snr
+from .audio import _check_samples, rel_loudness, snr
 from .container import fmt_float, write_csv
 from .ddn import check_mode, fooled
 from .exceptions import DegenerateVarianceError, InvalidInputError, UndefinedMetricError
@@ -91,8 +91,7 @@ def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
         raise InvalidInputError("empty evaluation set")
     if y is not None and len(y) != x.shape[0]:
         raise InvalidInputError("labels must align with samples")
-    if not 0.0 <= float(x.min()) <= float(x.max()) <= 1.0:  # NaN fails too
-        raise InvalidInputError("samples must lie in [0, 1]")
+    _check_samples(x)
     check_mode(pert.mode, pert.target, model.num_classes)
 
     applied = applied_perturbation(x, pert)

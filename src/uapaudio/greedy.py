@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audio import _check_samples
 from .ddn import InnerAttackConfig, check_mode, ddn_minimal_perturbation, fooled
 from .exceptions import InvalidInputError
 from .models import VictimModel
@@ -86,8 +87,7 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyRe
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] == 0:
         raise InvalidInputError("empty crafting set")
-    if not 0.0 <= float(x.min()) <= float(x.max()) <= 1.0:  # NaN fails too
-        raise InvalidInputError("samples must lie in [0, 1]")
+    _check_samples(x)
     check_mode(cfg.mode, cfg.target, model.num_classes)
     m, d = x.shape
 

@@ -129,22 +129,32 @@ class MaxPool1D(_Layer):
         return (shape[0] // self.width, shape[1])
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        batch, length, chans = x.shape
-        n_out = length // self.width
+        n_out = x.shape[1] // self.width
         if n_out < 1:
             raise InvalidInputError("input shorter than pooling window")
-        trimmed = x[:, : n_out * self.width, :].reshape(batch, n_out, self.width, chans)
-        idx = trimmed.argmax(axis=2)  # first maximum wins ties
-        y = np.take_along_axis(trimmed, idx[:, :, None, :], axis=2)[:, :, 0, :]
-        return y, (x.shape, idx)
+        span = n_out * self.width
+        y = x[:, 0:span:self.width, :].copy()
+        for k in range(1, self.width):
+            # on a tie np.maximum returns its second argument, so y keeps the
+            # first maximum (its sign too, for +-0), as an argmax would
+            np.maximum(x[:, k:span:self.width, :], y, out=y)
+        return y, (x, y)
 
     def backward(self, cache: tuple, dy: np.ndarray, want_params: bool) -> tuple[np.ndarray, None]:
-        (batch, length, chans), idx = cache
-        n_out = idx.shape[1]
-        dblocks = np.zeros((batch, n_out, self.width, chans))
-        np.put_along_axis(dblocks, idx[:, :, None, :], dy[:, :, None, :], axis=2)
-        dx = np.zeros((batch, length, chans))
-        dx[:, : n_out * self.width, :] = dblocks.reshape(batch, n_out * self.width, chans)
+        # dy goes to the first element of each window that equals its maximum
+        x, y = cache
+        span = y.shape[1] * self.width
+        dx = np.zeros(x.shape)
+        free = None  # windows whose maximum is not yet found
+        for k in range(self.width):
+            hit = x[:, k:span:self.width, :] == y
+            if free is not None:
+                hit &= free
+            np.copyto(dx[:, k:span:self.width, :], dy, where=hit)
+            if free is None:
+                free = ~hit
+            elif k < self.width - 1:
+                free ^= hit
         return dx, None
 
 
@@ -257,6 +267,9 @@ class VictimModel:
         Blocks are equal, not full blocks and a remainder, because a block of
         a few rows rounds differently in conv2; Flatten and the head run once
         on the whole batch, because a blocked Dense rounds differently too.
+        In the blocks each ReLU that feeds a MaxPool1D runs after it instead:
+        a max commutes with a monotone map, float for float, and the ReLU then
+        sees a quarter of the values.
         """
         batch, single = self._as_batch(x)
         if batch.shape[0] <= _INFER_BLOCK:
@@ -264,10 +277,14 @@ class VictimModel:
             return out[0] if single else out
         front = next((i for i, layer in enumerate(self.layers) if isinstance(layer, Flatten)),
                      len(self.layers))
+        order = self.layers[:front]
+        for i in range(front - 1):
+            if isinstance(order[i], ReLU) and isinstance(order[i + 1], MaxPool1D):
+                order[i], order[i + 1] = order[i + 1], order[i]
         blocks = []
         for block in np.array_split(batch, -(-batch.shape[0] // _INFER_BLOCK)):
             h = block[:, :, None]
-            for layer in self.layers[:front]:
+            for layer in order:
                 h, _ = layer.forward(h)
             blocks.append(h)
         h = np.concatenate(blocks)

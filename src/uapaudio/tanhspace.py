@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .audio import _check_samples
 from .exceptions import InvalidInputError, SingularityError
 
 TANH_EPSILON = 1e-7
@@ -24,10 +25,7 @@ _SATURATION_GUARD = float(np.finfo(np.float64).eps)
 def to_tanh_space(x: np.ndarray) -> np.ndarray:
     """Map signal values in [0, 1] to unconstrained coordinates."""
     x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise InvalidInputError("empty signal")
-    if not 0.0 <= float(x.min()) <= float(x.max()) <= 1.0:  # NaN fails too
-        raise InvalidInputError("signal values must lie in [0, 1]")
+    _check_samples(x)
     return np.arctanh((2.0 * x - 1.0) * (1.0 - TANH_EPSILON))
 
 
@@ -41,8 +39,11 @@ def perturbed_sample(x_tanh: np.ndarray, v_tanh: np.ndarray) -> np.ndarray:
     v_tanh = np.asarray(v_tanh, dtype=np.float64)
     if x_tanh.shape[-1] != v_tanh.shape[-1]:
         raise InvalidInputError("tanh-space vectors must have equal length")
-    w = 0.5 * (np.tanh(x_tanh + v_tanh) + 1.0)
-    return np.clip(w, _SATURATION_GUARD, 1.0 - _SATURATION_GUARD)
+    w = np.add(x_tanh, v_tanh)
+    np.tanh(w, out=w)
+    w += 1.0
+    w *= 0.5
+    return np.clip(w, _SATURATION_GUARD, 1.0 - _SATURATION_GUARD, out=w)
 
 
 def recover_vprime(w: np.ndarray, x_tanh: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Victims with explicit parameters, for tests that need closed-form answers."""
+"""Reference implementations for tests that need closed-form or first-principles answers."""
 
 import numpy as np
 
@@ -10,3 +10,21 @@ def linear_victim_from_params(weight: np.ndarray, bias: np.ndarray) -> VictimMod
     weight = np.asarray(weight, dtype=np.float64)
     return VictimModel([Flatten(), Dense(weight, np.asarray(bias, dtype=np.float64))],
                        input_dim=weight.shape[0], num_classes=weight.shape[1], arch="linear")
+
+
+def maxpool_first_max(x: np.ndarray, width: int, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max-pool forward and backward of (batch, length, chans) by an argmax over each window.
+
+    The first maximum of a window takes its value and its whole gradient; a
+    tail that the width does not divide gets no gradient.
+    """
+    batch, length, chans = x.shape
+    n_out = length // width
+    windows = x[:, : n_out * width, :].reshape(batch, n_out, width, chans)
+    idx = windows.argmax(axis=2)  # argmax returns the first maximum
+    y = np.take_along_axis(windows, idx[:, :, None, :], axis=2)[:, :, 0, :]
+    dwindows = np.zeros((batch, n_out, width, chans))
+    np.put_along_axis(dwindows, idx[:, :, None, :], dy[:, :, None, :], axis=2)
+    dx = np.zeros((batch, length, chans))
+    dx[:, : n_out * width, :] = dwindows.reshape(batch, n_out * width, chans)
+    return y, dx

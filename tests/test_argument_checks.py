@@ -134,6 +134,26 @@ class TestNonFiniteSamples:
             evaluate_uap(build_victim("linear", 256, 2), (self._samples(bad), None), pert)
 
 
+_LINEAR = build_victim("linear", 256, 2)
+# the four callers of the one sample check, each given a 3 x 256 batch
+SAMPLE_CALLERS = {
+    "ddn": lambda x: ddn_minimal_perturbation(_LINEAR, x[1], InnerAttackConfig()),
+    "evaluate": lambda x: evaluate_uap(_LINEAR, (x, None),
+                                       Perturbation(np.zeros(256), method="greedy", mode="untargeted")),
+    "greedy": lambda x: greedy_uap(_LINEAR, x, GreedyConfig()),
+    "tanh_space": to_tanh_space,
+}
+
+
+@pytest.mark.parametrize("caller", SAMPLE_CALLERS)
+@given(bad=negative | st.floats(min_value=1.0, exclude_min=True), at=st.integers(0, 255))
+def test_samples_outside_the_box_are_rejected(caller, bad, at):
+    x = np.full((3, 256), 0.5)
+    x[1, at] = bad
+    with pytest.raises(InvalidInputError, match=r"\[0, 1\]"):
+        SAMPLE_CALLERS[caller](x)
+
+
 @pytest.mark.parametrize("target", [3, 9, -1])
 class TestTargetAgainstVictim:
     """A target class the victim does not have is an error, not an IndexError or a 0.0 ASR."""

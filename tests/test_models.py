@@ -17,10 +17,10 @@ from uapaudio import (
     save_model,
     train,
 )
-from uapaudio.models import cross_entropy_grad, softmax
+from uapaudio.models import MaxPool1D, cross_entropy_grad, softmax
 from uapaudio.optim import AdamState, adam_update, seeded_batches
 
-from oracles import linear_victim_from_params
+from oracles import linear_victim_from_params, maxpool_first_max
 
 
 class TestLinearClosedForm:
@@ -136,8 +136,8 @@ class TestBlockedLogits:
         model = build_victim(arch, dim, 3, seed=5)
         x = np.random.default_rng(5).uniform(0, 1, (1500, dim))
         for n in (1, 2, 127, 128, 129, 130, 137, 209, 257, 600, 1500):
-            assert np.array_equal(model.logits(x[:n]), model.forward_cached(x[:n])[0]), n
-        assert np.array_equal(model.logits(x[0]), model.forward_cached(x[0])[0][0])
+            assert model.logits(x[:n]).tobytes() == model.forward_cached(x[:n])[0].tobytes(), n
+        assert model.logits(x[0]).tobytes() == model.forward_cached(x[0])[0][0].tobytes()
 
     def test_peak_memory_stays_below_one_conv1_copy(self):
         model = build_victim("rand-cnn", 4096, 3, seed=0)
@@ -151,6 +151,27 @@ class TestBlockedLogits:
         finally:
             tracemalloc.stop()
         assert peak < im2col_bytes / 2
+
+
+class TestMaxPool:
+    @pytest.mark.parametrize("batch", [1, 100])
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_equal_to_first_max_oracle(self, batch, width):
+        rng = np.random.default_rng(batch + width)
+        # ReLU'd values on a coarse grid: many all-zero windows and repeated maxima, and -0.0
+        # beside 0.0 in some. No width here divides the length 127, so a tail gets no window.
+        x = np.maximum(rng.integers(-3, 3, (batch, 127, 5)) * 0.5, 0.0)
+        x[:, :12, :] = 0.0
+        x[:, 1:12:2, 1] = -0.0
+        dy = rng.standard_normal((batch, x.shape[1] // width, 5))
+        dy[:, 0, 0] = -0.0
+        pool = MaxPool1D(width)
+        y, cache = pool.forward(x)
+        dx, _ = pool.backward(cache, dy, want_params=False)
+        y_ref, dx_ref = maxpool_first_max(x, width, dy)
+        assert y.tobytes() == y_ref.tobytes()
+        assert dx.tobytes() == dx_ref.tobytes()
+        assert not dx[:, (x.shape[1] // width) * width:, :].any()
 
 
 class TestInputGradient:
