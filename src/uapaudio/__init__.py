@@ -46,7 +46,6 @@ from .exceptions import (
     DegenerateVarianceError,
     FormatError,
     InvalidInputError,
-    SingularityError,
     UapAudioError,
     UndefinedMetricError,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "PenaltyConfig",
     "PenaltyResult",
     "Perturbation",
-    "SingularityError",
     "SyntheticDataset",
     "TANH_EPSILON",
     "TransferMatrix",

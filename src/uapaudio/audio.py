@@ -22,6 +22,12 @@ DEFAULT_SAMPLE_RATE = 16000
 POWER_FLOOR = 1e-12
 
 
+def _check_samples(x: np.ndarray) -> None:
+    """Reject an empty array or one holding a value outside [0, 1]; NaN fails too."""
+    if x.size == 0 or not 0.0 <= float(x.min()) <= float(x.max()) <= 1.0:
+        raise InvalidInputError("samples must be non-empty and lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class AudioSample:
     """A mono waveform in [0, 1]."""
@@ -31,24 +37,15 @@ class AudioSample:
 
     def __post_init__(self) -> None:
         x = np.asarray(self.samples, dtype=np.float64)
-        if x.ndim != 1 or x.size == 0:
-            raise InvalidInputError("waveform must be a non-empty 1-D array")
-        if not np.all(np.isfinite(x)):
-            raise InvalidInputError("waveform contains non-finite values")
-        if float(x.min()) < 0.0 or float(x.max()) > 1.0:
-            raise InvalidInputError("waveform values must lie in [0, 1]")
+        if x.ndim != 1:
+            raise InvalidInputError("waveform must be a 1-D array")
+        _check_samples(x)
         if self.sample_rate <= 0:
             raise InvalidInputError("sample rate must be positive")
         object.__setattr__(self, "samples", x)
 
     def __len__(self) -> int:
         return int(self.samples.size)
-
-
-def _check_samples(x: np.ndarray) -> None:
-    """Reject an empty array or one holding a value outside [0, 1]; NaN fails too."""
-    if x.size == 0 or not 0.0 <= float(x.min()) <= float(x.max()) <= 1.0:
-        raise InvalidInputError("samples must be non-empty and lie in [0, 1]")
 
 
 def rms_power(v: np.ndarray) -> float:

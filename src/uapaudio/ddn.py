@@ -93,8 +93,8 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
     best: np.ndarray | None = None
     best_norm = np.inf
 
-    for k in range(cfg.steps):
-        alpha = _STEP_END + 0.5 * (_STEP_START - _STEP_END) * (1.0 + np.cos(np.pi * k / cfg.steps))
+    # steps + 1 evaluations: the last one scores the final projected iterate
+    for k in range(cfg.steps + 1):
         point = np.clip(x + delta, 0.0, 1.0)
         logits, caches = model.forward_cached(point)
         is_adv = fooled(int(np.argmax(logits[0])), mode, reference_class, reference_class)
@@ -102,7 +102,10 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
             norm = float(np.linalg.norm(delta))
             if norm < best_norm:
                 best, best_norm = delta.copy(), norm
+        if k == cfg.steps:
+            break
 
+        alpha = _STEP_END + 0.5 * (_STEP_START - _STEP_END) * (1.0 + np.cos(np.pi * k / cfg.steps))
         # cross-entropy gradient about the reference class at the current point
         grad = model.backward_input(caches, cross_entropy_grad(logits, [reference_class]))[0]
         gnorm = float(np.linalg.norm(grad))
@@ -115,13 +118,6 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
         dnorm = float(np.linalg.norm(delta))
         if dnorm > 0.0:
             delta = delta * (radius / dnorm)
-
-    # the final projected iterate was never evaluated inside the loop
-    final_pred = int(model.predict(np.clip(x + delta, 0.0, 1.0)))
-    if fooled(final_pred, mode, reference_class, reference_class):
-        norm = float(np.linalg.norm(delta))
-        if norm < best_norm:
-            best, best_norm = delta.copy(), norm
 
     if best is None:
         return InnerAttackResult(delta, False, float(np.linalg.norm(delta)), np.asarray(trace))

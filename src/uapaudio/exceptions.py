@@ -17,9 +17,5 @@ class UndefinedMetricError(UapAudioError):
     """A metric has no defined value for the given inputs."""
 
 
-class SingularityError(UapAudioError):
-    """A transform was evaluated at a singular point (e.g. logit of 0 or 1)."""
-
-
 class DegenerateVarianceError(UapAudioError):
     """A statistic's variance estimate collapsed to zero."""

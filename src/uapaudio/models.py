@@ -14,6 +14,7 @@ so checkpoints (JSON manifest + little-endian f32 blob) round-trip bit-exactly.
 
 from __future__ import annotations
 
+import json
 from itertools import islice
 from pathlib import Path
 
@@ -34,13 +35,12 @@ def _f32_exact(a: np.ndarray) -> np.ndarray:
 class _Layer:
     """Checkpoint declaration shared by all layers.
 
-    KIND names the layer in a checkpoint, FIELDS maps each spec field to its
-    JSON type, and PARAMS lists the parameter arrays in storage order. The
-    constructor takes the parameters and fields as keyword arguments.
+    KIND names the layer in a checkpoint, FIELDS lists its spec fields, and
+    PARAMS lists its parameter arrays in storage order.
     """
 
     KIND = ""
-    FIELDS: dict[str, type] = {}
+    FIELDS: tuple[str, ...] = ()
     PARAMS: tuple[str, ...] = ()
     frozen = True
 
@@ -50,15 +50,11 @@ class _Layer:
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.PARAMS}
 
-    def out_shape(self, shape: tuple) -> tuple | None:
-        """Shape of one output row for one input row of this shape; None if the layer does not fit it."""
-        return shape
-
 
 class Conv1D(_Layer):
     """1-D convolution over (batch, length, channels) -> (batch, out, filters)."""
 
-    KIND, FIELDS, PARAMS = "conv1d", {"stride": int, "frozen": bool}, ("weight", "bias")
+    KIND, FIELDS, PARAMS = "conv1d", ("stride", "frozen"), ("weight", "bias")
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, stride: int, frozen: bool = False):
         self.weight = np.asarray(weight, dtype=np.float64)  # (filters, kernel, in_ch)
@@ -68,14 +64,6 @@ class Conv1D(_Layer):
 
     def out_length(self, length: int) -> int:
         return (length - self.weight.shape[1]) // self.stride + 1
-
-    def out_shape(self, shape: tuple) -> tuple | None:
-        w = self.weight
-        if not (len(shape) == 2 and w.ndim == 3 and w.shape[2] == shape[1]
-                and self.bias.shape == w.shape[:1] and self.stride >= 1):
-            return None
-        n_out = self.out_length(shape[0])
-        return (n_out, w.shape[0]) if n_out >= 1 else None
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         batch, length, chans = x.shape
@@ -118,15 +106,10 @@ class ReLU(_Layer):
 
 
 class MaxPool1D(_Layer):
-    KIND, FIELDS = "maxpool1d", {"width": int}
+    KIND, FIELDS = "maxpool1d", ("width",)
 
     def __init__(self, width: int):
         self.width = int(width)
-
-    def out_shape(self, shape: tuple) -> tuple | None:
-        if len(shape) != 2 or self.width < 1 or shape[0] < self.width:
-            return None
-        return (shape[0] // self.width, shape[1])
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         n_out = x.shape[1] // self.width
@@ -161,9 +144,6 @@ class MaxPool1D(_Layer):
 class Flatten(_Layer):
     KIND = "flatten"
 
-    def out_shape(self, shape: tuple) -> tuple | None:
-        return (int(np.prod(shape)),)
-
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         return x.reshape(x.shape[0], -1), x.shape
 
@@ -172,18 +152,12 @@ class Flatten(_Layer):
 
 
 class Dense(_Layer):
-    KIND, FIELDS, PARAMS = "dense", {"frozen": bool}, ("weight", "bias")
+    KIND, FIELDS, PARAMS = "dense", ("frozen",), ("weight", "bias")
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, frozen: bool = False):
         self.weight = np.asarray(weight, dtype=np.float64)  # (in, out)
         self.bias = np.asarray(bias, dtype=np.float64)  # (out,)
         self.frozen = frozen
-
-    def out_shape(self, shape: tuple) -> tuple | None:
-        w = self.weight
-        if not (w.ndim == 2 and shape == w.shape[:1] and self.bias.shape == w.shape[1:]):
-            return None
-        return w.shape[1:]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x @ self.weight + self.bias, x
@@ -194,8 +168,6 @@ class Dense(_Layer):
         grads = {"weight": cache.T @ dy, "bias": dy.sum(axis=0)} if want_params else None
         return dx, grads
 
-
-_LAYER_KINDS = {cls.KIND: cls for cls in (Conv1D, ReLU, MaxPool1D, Flatten, Dense)}
 
 # Most rows per block in VictimModel.logits.
 _INFER_BLOCK = 128
@@ -367,27 +339,28 @@ def _build_cnn(input_dim: int, num_classes: int, seed: int, sample_rate: int, ga
     return layers
 
 
-def _build_linear(input_dim: int, num_classes: int, seed: int, sample_rate: int) -> list:
+def _build_linear(input_dim: int, num_classes: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     return [Flatten(), Dense(_f32_exact(rng.standard_normal((input_dim, num_classes)) / np.sqrt(input_dim)),
                              np.zeros(num_classes))]
 
 
-ARCHITECTURES = ("rand-cnn", "gamma-cnn", "linear")
+# each builder takes (input_dim, num_classes, seed, sample_rate) and returns the layer list
+_BUILDERS = {
+    "rand-cnn": lambda dim, classes, seed, rate: _build_cnn(dim, classes, seed, rate, gamma_front=False),
+    "gamma-cnn": lambda dim, classes, seed, rate: _build_cnn(dim, classes, seed, rate, gamma_front=True),
+    "linear": lambda dim, classes, seed, rate: _build_linear(dim, classes, seed),
+}
+ARCHITECTURES = tuple(_BUILDERS)
 
 
 def build_victim(arch: str, input_dim: int, num_classes: int, seed: int = 0,
                  sample_rate: int = DEFAULT_SAMPLE_RATE) -> VictimModel:
     if num_classes < 2:
         raise InvalidInputError("victim needs at least 2 classes")
-    if arch == "rand-cnn":
-        layers = _build_cnn(input_dim, num_classes, seed, sample_rate, gamma_front=False)
-    elif arch == "gamma-cnn":
-        layers = _build_cnn(input_dim, num_classes, seed, sample_rate, gamma_front=True)
-    elif arch == "linear":
-        layers = _build_linear(input_dim, num_classes, seed, sample_rate)
-    else:
+    if arch not in ARCHITECTURES:  # a tuple test, so an unhashable arch is rejected too
         raise InvalidInputError(f"unknown architecture {arch!r}; choose from {ARCHITECTURES}")
+    layers = _BUILDERS[arch](input_dim, num_classes, seed, sample_rate)
     return VictimModel(layers, input_dim, num_classes, arch=arch, seed=seed, sample_rate=sample_rate)
 
 
@@ -410,41 +383,40 @@ def save_model(model: VictimModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> VictimModel:
+    """Rebuild the checkpoint's registry architecture and fill in its stored weights.
+
+    The stored layer specs must equal the registry's, types included, and each
+    stored parameter must have the rebuilt shape.
+    """
     manifest, blobs = read_container(path)
     if manifest.get("kind") != "victim-model":
         raise FormatError(f"not a model checkpoint: {path}")
     try:
-        if not isinstance(manifest["layers"], list):
-            raise FormatError(f"model checkpoint {path}: layers must be a list")
-        layers = []
-        for i, spec in enumerate(manifest["layers"]):
-            cls = _LAYER_KINDS.get(spec.get("type")) if isinstance(spec, dict) else None
-            if cls is None:
-                raise FormatError(f"model checkpoint {path}: layer {i} has unknown spec {spec!r}")
-            fields = {k: v for k, v in spec.items() if k != "type"}
-            if {k: type(v) for k, v in fields.items()} != cls.FIELDS:
-                raise FormatError(f"model checkpoint {path}: layer {i} spec {spec!r} does not match "
-                                  f"the {cls.KIND} fields {list(cls.FIELDS)}")
-            layers.append(cls(**{p: blobs[f"layer{i}.{p}"] for p in cls.PARAMS}, **fields))
-        input_dim, num_classes = manifest["input_dim"], manifest["num_classes"]
+        arch, input_dim, num_classes = manifest["arch"], manifest["input_dim"], manifest["num_classes"]
         sample_rate = manifest.get("sample_rate", DEFAULT_SAMPLE_RATE)
         if not all(type(n) is int and n >= 1 for n in (input_dim, num_classes, sample_rate)):
             raise FormatError(f"model checkpoint {path}: input_dim, num_classes and sample_rate "
                               "must be positive integers")
-        shape = (input_dim, 1)
-        for i, layer in enumerate(layers):
-            fitted = layer.out_shape(shape)
-            if fitted is None:
-                shapes = {name: arr.shape for name, arr in layer.params().items()}
-                raise FormatError(f"model checkpoint {path}: layer {i} ({layer.KIND}, parameter shapes "
-                                  f"{shapes}) does not fit its input of shape {shape}")
-            shape = fitted
-        if shape != (num_classes,):
-            raise FormatError(f"model checkpoint {path}: output shape {shape} is not ({num_classes},)")
-        return VictimModel(layers, input_dim, num_classes, arch=manifest["arch"],
-                           seed=manifest.get("seed"), sample_rate=sample_rate)
+        try:
+            model = build_victim(arch, input_dim, num_classes, sample_rate=sample_rate)
+        except (InvalidInputError, MemoryError) as exc:  # MemoryError: sizes too large to allocate
+            raise FormatError(f"model checkpoint {path}: cannot rebuild its layers: {exc}") from exc
+        # JSON text tells 8 from 8.0 and 1 from true, which == on the parsed values does not
+        specs = [layer.spec() for layer in model.layers]
+        if json.dumps(manifest["layers"], sort_keys=True) != json.dumps(specs, sort_keys=True):
+            raise FormatError(f"model checkpoint {path}: layers {manifest['layers']!r} are not "
+                              f"the {arch} architecture's {specs!r}")
+        for i, layer in enumerate(model.layers):
+            for name, param in layer.params().items():
+                blob = blobs[f"layer{i}.{name}"]
+                if blob.shape != param.shape:
+                    raise FormatError(f"model checkpoint {path}: layer {i} ({layer.KIND}) {name} has shape "
+                                      f"{blob.shape}, the {arch} architecture needs {param.shape}")
+                setattr(layer, name, blob)
     except KeyError as exc:
         raise FormatError(f"model checkpoint {path} has no entry {exc}") from exc
+    model.seed = manifest.get("seed")
+    return model
 
 
 # -- training ------------------------------------------------------------------

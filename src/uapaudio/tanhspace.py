@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .audio import _check_samples
-from .exceptions import InvalidInputError, SingularityError
+from .exceptions import InvalidInputError
 
 TANH_EPSILON = 1e-7
 
@@ -44,17 +44,6 @@ def perturbed_sample(x_tanh: np.ndarray, v_tanh: np.ndarray) -> np.ndarray:
     w += 1.0
     w *= 0.5
     return np.clip(w, _SATURATION_GUARD, 1.0 - _SATURATION_GUARD, out=w)
-
-
-def recover_vprime(w: np.ndarray, x_tanh: np.ndarray) -> np.ndarray:
-    """Invert a perturbed sample to its perturbation: (1/2)ln(w/(1-w)) - x'."""
-    w = np.asarray(w, dtype=np.float64)
-    x_tanh = np.asarray(x_tanh, dtype=np.float64)
-    if w.shape != x_tanh.shape:
-        raise InvalidInputError("shape mismatch between w and x'")
-    if w.size and (float(w.min()) <= 0.0 or float(w.max()) >= 1.0):
-        raise SingularityError("perturbed values must lie strictly in (0, 1)")
-    return 0.5 * (np.log(w) - np.log1p(-w)) - x_tanh
 
 
 def render_signal_v(v_tanh: np.ndarray) -> np.ndarray:

@@ -28,3 +28,8 @@ def maxpool_first_max(x: np.ndarray, width: int, dy: np.ndarray) -> tuple[np.nda
     dx = np.zeros((batch, length, chans))
     dx[:, : n_out * width, :] = dwindows.reshape(batch, n_out * width, chans)
     return y, dx
+
+
+def recover_vprime(w: np.ndarray, x_tanh: np.ndarray) -> np.ndarray:
+    """Invert a perturbed sample w = (tanh(x' + v') + 1) / 2 to its perturbation: (1/2)ln(w/(1-w)) - x'."""
+    return 0.5 * (np.log(w) - np.log1p(-w)) - x_tanh

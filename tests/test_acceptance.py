@@ -29,9 +29,9 @@ from uapaudio import (
 from uapaudio.cli import main as cli_main
 from uapaudio.models import ARCHITECTURES, accuracy
 from uapaudio.penalty import _hinge_batch, _objective
-from uapaudio.tanhspace import perturbed_sample, recover_vprime
+from uapaudio.tanhspace import perturbed_sample
 
-from oracles import linear_victim_from_params
+from oracles import linear_victim_from_params, recover_vprime
 
 
 # -- shared desk-scale bundle (criteria 5 and 6) -------------------------------

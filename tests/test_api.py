@@ -37,3 +37,19 @@ def test_every_public_name_has_a_caller_outside_tests():
     """A public name that only tests use is a wrapper to delete, not API."""
     used = _names_used_outside_tests(Path(__file__).resolve().parent.parent)
     assert sorted(set(uapaudio.__all__) - used) == []
+
+
+def test_every_module_level_definition_has_a_caller_outside_tests():
+    """A module-level function or class that only tests use belongs in the tests.
+
+    Result fields are left out: a field is output for the caller, and some have
+    only test readers on purpose, such as PenaltyResult.trace and
+    InnerAttackResult.l2_norm, which criteria 3 and 4 read.
+    """
+    root = Path(__file__).resolve().parent.parent
+    defined = set()
+    for path in (root / "src" / "uapaudio").glob("*.py"):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    assert sorted(defined - _names_used_outside_tests(root)) == []

@@ -321,6 +321,16 @@ class TestCheckpoints:
         "extra-field": {"type": "conv1d", "stride": 8, "frozen": False, "dilation": 1},
         "str-stride": {"type": "conv1d", "stride": "8", "frozen": False},
         "spec-not-object": "conv1d",
+        "float-stride": {"type": "conv1d", "stride": 8.0, "frozen": False},
+        "int-frozen": {"type": "conv1d", "stride": 8, "frozen": 0},
+    }
+
+    # manifest entries the old generic loader accepted or mishandled: the stored
+    # layers are valid rand-cnn layers, but not the architecture the manifest names
+    BAD_ARCH = {
+        "arch-custom": "custom",
+        "arch-list": ["rand-cnn"],
+        "arch-number": 3,
     }
 
     # replacement blobs that the container accepts but the architecture does not fit
@@ -333,7 +343,8 @@ class TestCheckpoints:
     }
 
     @pytest.mark.parametrize("defect", ["no-layers", "layers-not-list", "no-weight", "nan-weight", "inf-bias",
-                                        "input-dim", "classes", "zero-stride", *BAD_LAYER0, *BAD_BLOBS])
+                                        "input-dim", "classes", "zero-stride", "frozen-dense",
+                                        *BAD_LAYER0, *BAD_BLOBS, *BAD_ARCH])
     def test_malformed_checkpoint_is_format_error(self, defect, tmp_path):
         from uapaudio.container import read_container, write_container
 
@@ -356,6 +367,11 @@ class TestCheckpoints:
             manifest["num_classes"] = 4
         elif defect == "zero-stride":
             manifest["layers"][3]["stride"] = 0
+        elif defect == "frozen-dense":
+            # self-consistent, and loadable by a generic layer loader, but not rand-cnn's head
+            manifest["layers"][7]["frozen"] = True
+        elif defect in self.BAD_ARCH:
+            manifest["arch"] = self.BAD_ARCH[defect]
         elif defect in self.BAD_BLOBS:
             name, change = self.BAD_BLOBS[defect]
             blobs[name] = change(blobs[name])
