@@ -176,7 +176,7 @@ _INFER_BLOCK = 128
 class VictimModel:
     """A differentiable classifier over fixed-length waveforms in [0, 1]."""
 
-    def __init__(self, layers: list, input_dim: int, num_classes: int, arch: str = "custom",
+    def __init__(self, layers: list, input_dim: int, num_classes: int, arch: str,
                  seed: int | None = None, sample_rate: int = DEFAULT_SAMPLE_RATE):
         self.layers = layers
         self.input_dim = int(input_dim)
@@ -368,6 +368,8 @@ def build_victim(arch: str, input_dim: int, num_classes: int, seed: int = 0,
 
 
 def save_model(model: VictimModel, path: str | Path) -> None:
+    if model.arch not in ARCHITECTURES:  # load_model rebuilds only registry architectures
+        raise InvalidInputError(f"cannot save architecture {model.arch!r}; choose from {ARCHITECTURES}")
     manifest = {
         "kind": "victim-model",
         "format": 1,
@@ -380,6 +382,10 @@ def save_model(model: VictimModel, path: str | Path) -> None:
     }
     blobs = {name: arr for name, arr in model.named_params()}
     write_container(path, manifest, blobs)
+
+
+# load_model builds up to this many weights unchecked, so a damaged small file keeps its precise error
+_FREE_REBUILD = 2**20
 
 
 def load_model(path: str | Path) -> VictimModel:
@@ -397,9 +403,16 @@ def load_model(path: str | Path) -> VictimModel:
         if not all(type(n) is int and n >= 1 for n in (input_dim, num_classes, sample_rate)):
             raise FormatError(f"model checkpoint {path}: input_dim, num_classes and sample_rate "
                               "must be positive integers")
+        # a small file must not make the rebuild allocate much: every registry architecture stores
+        # more weights than input_dim or num_classes, and linear their product
+        stored = sum(blob.size for blob in blobs.values())
+        need = input_dim * num_classes if arch == "linear" else max(input_dim, num_classes)
+        if need > max(stored, _FREE_REBUILD):
+            raise FormatError(f"model checkpoint {path}: its layers store {stored} weights, too few for "
+                              f"input_dim {input_dim} and num_classes {num_classes}")
         try:
             model = build_victim(arch, input_dim, num_classes, sample_rate=sample_rate)
-        except (InvalidInputError, MemoryError) as exc:  # MemoryError: sizes too large to allocate
+        except (InvalidInputError, OverflowError) as exc:  # OverflowError: a sample_rate past float range
             raise FormatError(f"model checkpoint {path}: cannot rebuild its layers: {exc}") from exc
         # JSON text tells 8 from 8.0 and 1 from true, which == on the parsed values does not
         specs = [layer.spec() for layer in model.layers]

@@ -342,15 +342,24 @@ class TestCheckpoints:
         "conv-kernel-too-long": ("layer0.weight", lambda w: np.zeros((8, 2048, 1))),
     }
 
+    # manifest sizes no numpy array or float can hold, each over a 1024-dim, 3-class victim
+    BAD_SIZES = {
+        "input-dim-huge": ("linear", {"input_dim": 2**61}),
+        "classes-huge": ("rand-cnn", {"num_classes": 2**61}),
+        "rate-huge": ("gamma-cnn", {"sample_rate": 10**400}),
+    }
+
     @pytest.mark.parametrize("defect", ["no-layers", "layers-not-list", "no-weight", "nan-weight", "inf-bias",
                                         "input-dim", "classes", "zero-stride", "frozen-dense",
-                                        *BAD_LAYER0, *BAD_BLOBS, *BAD_ARCH])
+                                        *BAD_LAYER0, *BAD_BLOBS, *BAD_ARCH, *BAD_SIZES])
     def test_malformed_checkpoint_is_format_error(self, defect, tmp_path):
         from uapaudio.container import read_container, write_container
 
         f = tmp_path / "m.uapc"
-        save_model(build_victim("rand-cnn", 1024, 3, seed=4), f)
+        arch, sizes = self.BAD_SIZES.get(defect, ("rand-cnn", {}))
+        save_model(build_victim(arch, 1024, 3, seed=4), f)
         manifest, blobs = read_container(f)
+        manifest.update(sizes)
         if defect == "no-layers":
             del manifest["layers"]
         elif defect == "layers-not-list":
@@ -375,11 +384,36 @@ class TestCheckpoints:
         elif defect in self.BAD_BLOBS:
             name, change = self.BAD_BLOBS[defect]
             blobs[name] = change(blobs[name])
-        else:
+        elif defect in self.BAD_LAYER0:
             manifest["layers"][0] = self.BAD_LAYER0[defect]
         write_container(f, manifest, blobs)
         with pytest.raises(FormatError, match="layer|output shape"):
             load_model(f)
+
+    @pytest.mark.parametrize("arch, sizes", [
+        ("linear", {"input_dim": 10**8}),
+        ("linear", {"input_dim": 3000, "num_classes": 3000}),
+        ("rand-cnn", {"input_dim": 10**8}),
+        ("gamma-cnn", {"num_classes": 10**8}),
+    ])
+    def test_sizes_past_the_stored_weights_are_refused_before_building(self, arch, sizes, tmp_path, monkeypatch):
+        from uapaudio import models
+        from uapaudio.container import read_container, write_container
+
+        f = tmp_path / "m.uapc"
+        save_model(build_victim(arch, 1024, 3, seed=4), f)
+        manifest, blobs = read_container(f)
+        write_container(f, {**manifest, **sizes}, blobs)
+        monkeypatch.setattr(models, "build_victim", lambda *args, **kwargs: pytest.fail("built"))
+        with pytest.raises(FormatError, match="too few"):
+            load_model(f)
+
+    def test_save_refuses_a_non_registry_architecture(self, tmp_path):
+        model = build_victim("linear", 64, 2)
+        model.arch = "custom"
+        with pytest.raises(InvalidInputError, match="custom"):
+            save_model(model, tmp_path / "m.uapc")
+        assert not (tmp_path / "m.uapc").exists()
 
 
 class TestAdam:
