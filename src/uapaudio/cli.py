@@ -68,6 +68,18 @@ def _jsonable(value):
 _PATH_ARGS = ("data", "model", "models", "out", "pert", "report")
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_version() -> dict:
+    """The name and version of NumPy's BLAS, without its install paths."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # an older NumPy's show_config takes no mode; a build may lack BLAS
+        blas = {}
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def _write_run_manifest(artifact: Path, command: str, args: argparse.Namespace,
                         extra: dict | None = None) -> None:
     target = artifact / "run.json" if artifact.is_dir() else Path(str(artifact) + ".run.json")
@@ -80,7 +92,9 @@ def _write_run_manifest(artifact: Path, command: str, args: argparse.Namespace,
         "command": command,
         "args": recorded,
         "versions": {"uapaudio": __version__, "numpy": np.__version__,
-                     "python": platform.python_version()},
+                     "python": platform.python_version(), "blas": _blas_version()},
+        # BLAS may split a sum between threads, so a run repeats exactly only at its thread count
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
     }
     if extra:
         manifest["result"] = _jsonable(extra)

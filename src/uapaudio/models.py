@@ -52,7 +52,10 @@ class _Layer:
 
 
 class Conv1D(_Layer):
-    """1-D convolution over (batch, length, channels) -> (batch, out, filters)."""
+    """1-D convolution over (batch, length, channels) -> (batch, out, filters).
+
+    The stride must divide the kernel (see backward).
+    """
 
     KIND, FIELDS, PARAMS = "conv1d", ("stride", "frozen"), ("weight", "bias")
 
@@ -61,6 +64,8 @@ class Conv1D(_Layer):
         self.bias = np.asarray(bias, dtype=np.float64)  # (filters,)
         self.stride = int(stride)
         self.frozen = frozen
+        if self.stride < 1 or self.weight.shape[1] % self.stride:
+            raise InvalidInputError(f"stride {self.stride} must divide kernel {self.weight.shape[1]}")
 
     def out_length(self, length: int) -> int:
         return (length - self.weight.shape[1]) // self.stride + 1
@@ -84,9 +89,17 @@ class Conv1D(_Layer):
         n_out = dy.shape[1]
         dx = None
         if want_input:
+            # tap k = j*stride + r of output t lands on input frame t + j at offset r, so tap
+            # block j is one GEMM added at a shift of j frames; in ascending j, each element
+            # sums its taps in order. A GEMM per block writes contiguous rows, which add
+            # faster than the blocks of one wide GEMM.
+            s, blocks = self.stride, kernel // self.stride
+            rows = dy.reshape(-1, filters)
+            weight = self.weight.reshape(filters, blocks, s * chans)
             dx = np.zeros((batch, length, chans))
-            for k in range(kernel):
-                dx[:, k : k + n_out * self.stride : self.stride, :] += dy @ self.weight[:, k, :]
+            frames = dx[:, : (n_out + blocks - 1) * s, :].reshape(batch, n_out + blocks - 1, s * chans)
+            for j in range(blocks):
+                frames[:, j : j + n_out, :] += (rows @ weight[:, j, :]).reshape(batch, n_out, s * chans)
         grads = None
         if want_params:
             dw = np.tensordot(dy, windows, axes=([0, 1], [0, 1]))  # (filters, kernel, in_ch)
@@ -169,8 +182,9 @@ class Dense(_Layer):
         return dx, grads
 
 
-# Most rows per block in VictimModel.logits.
-_INFER_BLOCK = 128
+# Most rows per block in VictimModel.logits and the penalty objective: a 32-row
+# block's conv1 im2col copy (4 MB at d=4096) and activations stay in cache.
+_ROW_BLOCK = 32
 
 
 class VictimModel:
@@ -233,18 +247,20 @@ class VictimModel:
     def logits(self, x: np.ndarray) -> np.ndarray:
         """The logits of forward_cached, float for float.
 
-        A batch of more than _INFER_BLOCK rows runs the layers before the
-        first Flatten on equal blocks of at most _INFER_BLOCK rows, so their
-        batch-wide temporaries (conv1's im2col copy above all) stay small.
-        Blocks are equal, not full blocks and a remainder, because a block of
-        a few rows rounds differently in conv2; Flatten and the head run once
-        on the whole batch, because a blocked Dense rounds differently too.
+        A batch of more than _ROW_BLOCK rows runs the layers before the first
+        Flatten on equal blocks of at most _ROW_BLOCK rows, so their batch-wide
+        temporaries (conv1's im2col copy above all) stay small. Blocks are
+        equal, not full blocks and a remainder, because conv2's GEMM rounds
+        differently when a block gives it few rows (up to 9 rows at d=1024,
+        1 row at d=4096). Flatten and the head run once on the whole batch,
+        because OpenBLAS rounds a Dense GEMM differently at many row counts
+        (its edge tiles), blocks of 17 to 32 rows included.
         In the blocks each ReLU that feeds a MaxPool1D runs after it instead:
         a max commutes with a monotone map, float for float, and the ReLU then
         sees a quarter of the values.
         """
         batch, single = self._as_batch(x)
-        if batch.shape[0] <= _INFER_BLOCK:
+        if batch.shape[0] <= _ROW_BLOCK:
             out, _ = self.forward_cached(batch)
             return out[0] if single else out
         front = next((i for i, layer in enumerate(self.layers) if isinstance(layer, Flatten)),
@@ -254,7 +270,7 @@ class VictimModel:
             if isinstance(order[i], ReLU) and isinstance(order[i + 1], MaxPool1D):
                 order[i], order[i + 1] = order[i + 1], order[i]
         blocks = []
-        for block in np.array_split(batch, -(-batch.shape[0] // _INFER_BLOCK)):
+        for block in np.array_split(batch, -(-batch.shape[0] // _ROW_BLOCK)):
             h = block[:, :, None]
             for layer in order:
                 h, _ = layer.forward(h)

@@ -25,7 +25,7 @@ from .audio import POWER_FLOOR, rms_power, spl
 from .ddn import check_mode, fooled
 from .exceptions import InvalidInputError
 from .greedy import project_lp
-from .models import VictimModel
+from .models import _ROW_BLOCK, VictimModel
 from .optim import AdamState, adam_update, seeded_batches
 from .perturbation import Perturbation, _encode_p
 from .tanhspace import TANH_EPSILON, perturbed_sample, render_signal_v, to_tanh_space
@@ -112,16 +112,22 @@ def _objective(model: VictimModel, x_tanh: np.ndarray, v: np.ndarray, refs: np.n
     """SPL(v'), each batch row's hinge, and the gradient w.r.t. v' of the batch sum.
 
     The sum is sum_i SPL(v') + c * G(logits(w_i)) over the rows
-    w_i = squash(x'_i + v'); penalty_uap descends this gradient.
+    w_i = squash(x'_i + v'); penalty_uap descends this gradient. The forward
+    and backward passes run on equal blocks of at most _ROW_BLOCK rows, whose
+    working sets stay in cache; the batch sum is taken once over all rows.
     """
     w = perturbed_sample(x_tanh, v)
-    logits, caches = model.forward_cached(w)
-    hinges, dlogits = _hinge_batch(logits, refs, kappa, mode)
-    hinge_grad_w = model.backward_input(caches, dlogits)  # (batch, d)
+    n_blocks = -(-len(refs) // _ROW_BLOCK)
+    hinges, hinge_grads = [], []
+    for w_block, refs_block in zip(np.array_split(w, n_blocks), np.array_split(refs, n_blocks)):
+        logits, caches = model.forward_cached(w_block)
+        values, dlogits = _hinge_batch(logits, refs_block, kappa, mode)
+        hinges.append(values)
+        hinge_grads.append(model.backward_input(caches, dlogits))  # (block, d)
     # d(w)/d(v') = sech^2(x'+v')/2 = 2w(1-w); plain sum over the batch
     chain = 2.0 * w * (1.0 - w)
-    grad = len(refs) * _spl_gradient(v) + c * np.sum(hinge_grad_w * chain, axis=0)
-    return spl(v), hinges, grad
+    grad = len(refs) * _spl_gradient(v) + c * np.sum(np.concatenate(hinge_grads) * chain, axis=0)
+    return spl(v), np.concatenate(hinges), grad
 
 
 def _asr_tanh(model: VictimModel, x_tanh: np.ndarray, v_tanh: np.ndarray,

@@ -12,6 +12,16 @@ def linear_victim_from_params(weight: np.ndarray, bias: np.ndarray) -> VictimMod
                        input_dim=weight.shape[0], num_classes=weight.shape[1], arch="linear")
 
 
+def conv_input_grad_per_tap(weight: np.ndarray, stride: int, dy: np.ndarray,
+                            length: int) -> np.ndarray:
+    """Conv1D input gradient of (batch, length, chans) by one strided add per kernel tap."""
+    batch, n_out, _ = dy.shape
+    dx = np.zeros((batch, length, weight.shape[2]))
+    for k in range(weight.shape[1]):
+        dx[:, k : k + n_out * stride : stride, :] += dy @ weight[:, k, :]
+    return dx
+
+
 def maxpool_first_max(x: np.ndarray, width: int, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Max-pool forward and backward of (batch, length, chans) by an argmax over each window.
 

@@ -37,6 +37,19 @@ class TestPipeline:
         assert run["args"]["out"] == "."  # paths are relative to the manifest
         assert run["versions"]["uapaudio"] == uapaudio.__version__
 
+    def test_manifest_records_blas_and_its_thread_variables(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert main(["gen-data", "--classes", "2", "--per-class", "2", "--dim", "256",
+                     "--test-per-class", "1", "--out", str(tmp_path / "d")]) == 0
+        run = json.loads((tmp_path / "d" / "run.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert run["versions"]["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert "/" not in json.dumps(run["versions"])  # no install paths
+        assert run["blas_threads"]["OMP_NUM_THREADS"] == "3"
+        assert run["blas_threads"]["MKL_NUM_THREADS"] is None
+        assert set(run["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+
     def test_train_manifest_reports_accuracy(self, workspace):
         run = json.loads((workspace / "victim.uapc.run.json").read_text())
         assert run["command"] == "train-victim"

@@ -17,10 +17,10 @@ from uapaudio import (
     save_model,
     train,
 )
-from uapaudio.models import MaxPool1D, cross_entropy_grad, softmax
+from uapaudio.models import Conv1D, MaxPool1D, cross_entropy_grad, softmax
 from uapaudio.optim import AdamState, adam_update, seeded_batches
 
-from oracles import linear_victim_from_params, maxpool_first_max
+from oracles import conv_input_grad_per_tap, linear_victim_from_params, maxpool_first_max
 
 
 class TestLinearClosedForm:
@@ -130,12 +130,13 @@ class TestBlockedLogits:
     @pytest.mark.parametrize("dim", [1024, 4096])
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_equal_to_forward_cached(self, arch, dim):
-        # 129 and 257 rows leave a 1-row block after full blocks of 128 rows, and 130..137 at
-        # d=1024 a 2..9-row block: small blocks round differently in conv2. A blocked head
-        # rounds differently on linear at 130 and 209 rows (d=4096).
+        # 33, 65 and 97 rows would leave a 1-row block after full blocks of 32 rows, and 34..41
+        # at d=1024 a 2..9-row block: conv2's GEMM rounds such small blocks differently, so the
+        # blocks are equal. A Dense GEMM rounds differently at many row counts (on linear at
+        # 130 and 209 rows, d=4096), so the head runs once.
         model = build_victim(arch, dim, 3, seed=5)
         x = np.random.default_rng(5).uniform(0, 1, (1500, dim))
-        for n in (1, 2, 127, 128, 129, 130, 137, 209, 257, 600, 1500):
+        for n in (1, 2, 31, 32, 33, 34, 41, 64, 65, 97, 130, 209, 600, 1500):
             assert model.logits(x[:n]).tobytes() == model.forward_cached(x[:n])[0].tobytes(), n
         assert model.logits(x[0]).tobytes() == model.forward_cached(x[0])[0][0].tobytes()
 
@@ -150,7 +151,59 @@ class TestBlockedLogits:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < im2col_bytes / 2
+        assert peak < im2col_bytes / 10
+
+
+class TestConvInputGradient:
+    """Conv1D's input gradient, one GEMM and shifted add per tap block, against one add per tap."""
+
+    @staticmethod
+    def _case(layer, batch, length, seed):
+        rng = np.random.default_rng(seed)
+        _, cache = layer.forward(rng.uniform(-1, 1, (batch, length, layer.weight.shape[2])))
+        dy = rng.standard_normal((batch, layer.out_length(length), layer.weight.shape[0]))
+        dx, _ = layer.backward(cache, dy, want_params=False)
+        return dx, conv_input_grad_per_tap(layer.weight, layer.stride, dy, length)
+
+    @pytest.mark.parametrize("batch", [1, 24, 25, 32, 100])
+    @pytest.mark.parametrize("length", [127, 128])
+    def test_conv2_is_byte_identical(self, batch, length):
+        # 127 is conv2's input length at d=4096, whose last sample takes no tap; 128 has none spare
+        dx, ref = self._case(build_victim("rand-cnn", 4096, 3, seed=0).layers[3], batch, length, batch)
+        assert dx.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 25, 100])
+    @pytest.mark.parametrize("arch", ["rand-cnn", "gamma-cnn"])
+    def test_conv1_within_rounding(self, arch, batch):
+        # one input channel: each per-tap product is a matrix-vector product, rounded differently
+        dx, ref = self._case(build_victim(arch, 4096, 3, seed=0).layers[0], batch, 4096, batch)
+        assert np.max(np.abs(dx - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("arch", ["rand-cnn", "gamma-cnn"])
+    def test_training_is_byte_identical_with_the_per_tap_oracle(self, arch, monkeypatch):
+        ds = generate_synthetic_dataset(3, 10, 1024, seed=6, test_per_class=2)
+        fast = build_victim(arch, 1024, 3, seed=6)
+        train(fast, ds, epochs=2, batch_size=8, seed=6)
+        original, input_grads = Conv1D.backward, []
+
+        def per_tap(layer, cache, dy, want_params, want_input=True):
+            _, grads = original(layer, cache, dy, want_params, want_input=False)
+            if not want_input:
+                return None, grads
+            input_grads.append(dy.shape)
+            return conv_input_grad_per_tap(layer.weight, layer.stride, dy, cache[0][1]), grads
+
+        monkeypatch.setattr(Conv1D, "backward", per_tap)
+        slow = build_victim(arch, 1024, 3, seed=6)
+        train(slow, ds, epochs=2, batch_size=8, seed=6)
+        assert slow.parameter_vector().tobytes() == fast.parameter_vector().tobytes()
+        # rand-cnn trains conv1, so conv2 passes it an input gradient; gamma-cnn's conv1 is frozen
+        assert bool(input_grads) == (arch == "rand-cnn")
+
+    @pytest.mark.parametrize("kernel, stride", [(16, 3), (16, 32), (16, 0)])
+    def test_stride_must_divide_the_kernel(self, kernel, stride):
+        with pytest.raises(InvalidInputError, match="must divide"):
+            Conv1D(np.zeros((2, kernel, 1)), np.zeros(2), stride=stride)
 
 
 class TestMaxPool:

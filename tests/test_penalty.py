@@ -15,7 +15,8 @@ from uapaudio import (
     to_tanh_space,
     train,
 )
-from uapaudio.penalty import _hinge_batch, _objective
+from uapaudio.audio import spl
+from uapaudio.penalty import _hinge_batch, _objective, _spl_gradient
 from uapaudio.tanhspace import perturbed_sample
 
 from oracles import linear_victim_from_params
@@ -148,6 +149,27 @@ class TestPenaltyLoss:
             e[i] = step
             fd = (loss(v + e) - loss(v - e)) / (2.0 * step)
             assert abs(grad[i] - fd) <= 1e-3 * max(abs(fd), 1e-6)
+
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 100, 257])
+    @pytest.mark.parametrize("mode", ["untargeted", "targeted"])
+    def test_row_blocks_match_one_pass(self, rows, mode):
+        """_objective runs its passes on row blocks; one forward_cached pass over the
+        whole batch gives the same hinges and gradient up to rounding."""
+        rng = np.random.default_rng(rows)
+        model = build_victim("rand-cnn", 4096, 3, seed=7)
+        x_tanh = to_tanh_space(rng.uniform(0.2, 0.8, (rows, 4096)))
+        v = rng.normal(scale=0.3, size=4096)
+        refs = np.full(rows, 2) if mode == "targeted" else rng.integers(0, 3, rows)
+        spl_v, hinges, grad = _objective(model, x_tanh, v, refs, 10.0, 50.0, mode)
+
+        w = perturbed_sample(x_tanh, v)
+        logits, caches = model.forward_cached(w)
+        ref_hinges, dlogits = _hinge_batch(logits, refs, 50.0, mode)
+        ref_grad = rows * _spl_gradient(v) + 10.0 * np.sum(
+            model.backward_input(caches, dlogits) * 2.0 * w * (1.0 - w), axis=0)
+        assert spl_v == spl(v)
+        np.testing.assert_allclose(hinges, ref_hinges, rtol=1e-12, atol=1e-12 * np.abs(ref_hinges).max())
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max())
 
 
 class TestPenaltyConfig:
