@@ -20,8 +20,6 @@ from uapaudio import (
     GreedyConfig,
     PenaltyConfig,
     accuracy,
-    confidence_sweep_rows,
-    datacount_sweep_rows,
     sweep_confidence,
     sweep_datacount,
     sweep_to_csv,
@@ -47,10 +45,10 @@ def main() -> None:
     print(f"== kappa sweep over {KAPPA_GRID} ==")
     conf = sweep_confidence(model, x, y, testset,
                             cfg=PenaltyConfig(c=args.c, seed=args.seed))
-    for kappa, report in conf:
-        print(f"kappa {kappa:5.1f}  test {report.test_asr:.3f}  "
-              f"snr {report.mean_snr_db:.1f} dB")
-    sweep_to_csv(confidence_sweep_rows(conf), args.out / "confidence_sweep.csv")
+    for row in conf:
+        print(f"kappa {row['kappa']:5.1f}  test {row['test_asr']:.3f}  "
+              f"snr {row['mean_snr_db']:.1f} dB")
+    sweep_to_csv(conf, args.out / "confidence_sweep.csv")
 
     print(f"== data-count sweep over {DATACOUNT_GRID} ==")
     counts = sweep_datacount(
@@ -59,10 +57,10 @@ def main() -> None:
         penalty_cfg=PenaltyConfig(c=args.c, kappa=90.0, min_iters=19, seed=args.seed),
         seed=args.seed,
     )
-    for method, m, report in counts:
-        print(f"{method:8s} m={m:4d}  test {report.test_asr:.3f}  "
-              f"snr {report.mean_snr_db:.1f} dB")
-    sweep_to_csv(datacount_sweep_rows(counts), args.out / "datacount_sweep.csv")
+    for row in counts:
+        print(f"{row['method']:8s} m={row['m']:4d}  test {row['test_asr']:.3f}  "
+              f"snr {row['mean_snr_db']:.1f} dB")
+    sweep_to_csv(counts, args.out / "datacount_sweep.csv")
 
     print(f"done in {time.perf_counter() - t0:.1f}s; CSVs in {args.out}/")
 

@@ -29,8 +29,6 @@ from .evaluation import (
     TransferMatrix,
     ZTestResult,
     applied_perturbation,
-    confidence_sweep_rows,
-    datacount_sweep_rows,
     evaluate_uap,
     report_summary,
     report_to_csv,
@@ -99,8 +97,6 @@ __all__ = [
     "applied_perturbation",
     "asr",
     "build_victim",
-    "confidence_sweep_rows",
-    "datacount_sweep_rows",
     "ddn_minimal_perturbation",
     "evaluate_uap",
     "generate_synthetic_dataset",

@@ -25,8 +25,6 @@ from .evaluation import (
     DEFAULT_ALPHA,
     KAPPA_GRID,
     _seeded_subset,
-    confidence_sweep_rows,
-    datacount_sweep_rows,
     evaluate_uap,
     report_summary,
     report_to_csv,
@@ -228,13 +226,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.what == "confidence":
         grid = _parse_grid(args.grid) if args.grid else list(KAPPA_GRID)
-        rows = confidence_sweep_rows(
-            sweep_confidence(model, x, y, testset, grid, _config(PenaltyConfig, args)))
+        rows = sweep_confidence(model, x, y, testset, grid, _config(PenaltyConfig, args))
     else:
         grid = [int(g) for g in _parse_grid(args.grid)] if args.grid else list(DATACOUNT_GRID)
-        rows = datacount_sweep_rows(sweep_datacount(
+        rows = sweep_datacount(
             model, x, y, testset, grid, _config(GreedyConfig, args), _config(PenaltyConfig, args),
-            seed=args.seed))
+            seed=args.seed)
 
     sweep_to_csv(rows, out)
     _write_run_manifest(out, f"sweep-{args.what}", args, extra={"rows": len(rows)})

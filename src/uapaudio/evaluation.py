@@ -200,11 +200,19 @@ def _seeded_subset(n: int, m: int, seed: int) -> np.ndarray:
     return np.sort(order[:m])
 
 
+def _sweep_row(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
+               pert: Perturbation, **keys) -> dict:
+    """The sweep's keys for one craft, then its evaluation's headline numbers."""
+    r = evaluate_uap(model, testset, pert)
+    return {**keys, "train_asr": float(r.train_asr), "test_asr": r.test_asr,
+            "mean_snr_db": r.mean_snr_db, "mean_l_db": r.mean_l_db}
+
+
 def sweep_confidence(model: VictimModel, x: np.ndarray, y: np.ndarray,
                      testset: tuple[np.ndarray, np.ndarray],
                      kappa_grid=KAPPA_GRID,
-                     cfg: PenaltyConfig | None = None) -> list[tuple[float, EvalReport]]:
-    """One penalty craft+evaluate cycle per confidence value."""
+                     cfg: PenaltyConfig | None = None) -> list[dict]:
+    """One penalty craft+evaluate cycle per confidence value, one row each."""
     kappas = [float(k) for k in kappa_grid]
     if not kappas:
         raise InvalidInputError("empty confidence grid")
@@ -214,7 +222,7 @@ def sweep_confidence(model: VictimModel, x: np.ndarray, y: np.ndarray,
     for kappa in kappas:
         run_cfg = replace(cfg, kappa=kappa)
         result = penalty_uap(model, x, y, run_cfg)
-        out.append((kappa, evaluate_uap(model, testset, result.perturbation)))
+        out.append(_sweep_row(model, testset, result.perturbation, kappa=kappa))
     return out
 
 
@@ -223,8 +231,9 @@ def sweep_datacount(model: VictimModel, x: np.ndarray, y: np.ndarray,
                     m_grid=DATACOUNT_GRID,
                     greedy_cfg: GreedyConfig | None = None,
                     penalty_cfg: PenaltyConfig | None = None,
-                    seed: int = 0) -> list[tuple[str, int, EvalReport]]:
-    """Craft with both methods from the first m samples of one seeded shuffle."""
+                    seed: int = 0) -> list[dict]:
+    """Craft with both methods from the first m samples of one seeded shuffle;
+    one row per craft, greedy first at each m."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
     counts = sorted({int(m) for m in m_grid if 1 <= int(m) <= x.shape[0]})
@@ -238,9 +247,9 @@ def sweep_datacount(model: VictimModel, x: np.ndarray, y: np.ndarray,
     for m in counts:
         idx = _seeded_subset(x.shape[0], m, seed)
         g = greedy_uap(model, x[idx], greedy_cfg)
-        out.append(("greedy", m, evaluate_uap(model, testset, g.perturbation)))
+        out.append(_sweep_row(model, testset, g.perturbation, method="greedy", m=m))
         p = penalty_uap(model, x[idx], y[idx], penalty_cfg)
-        out.append(("penalty", m, evaluate_uap(model, testset, p.perturbation)))
+        out.append(_sweep_row(model, testset, p.perturbation, method="penalty", m=m))
     return out
 
 
@@ -259,19 +268,6 @@ def sweep_to_csv(rows: list[dict], path: str | Path) -> None:
     write_csv(path, columns, body)
 
 
-def confidence_sweep_rows(results: list[tuple[float, EvalReport]]) -> list[dict]:
-    return [{"kappa": kappa, "train_asr": float(r.train_asr), "test_asr": r.test_asr,
-             "mean_snr_db": r.mean_snr_db, "mean_l_db": r.mean_l_db}
-            for kappa, r in results]
-
-
-def datacount_sweep_rows(results: list[tuple[str, int, EvalReport]]) -> list[dict]:
-    return [{"method": method, "m": m, "train_asr": float(r.train_asr),
-             "test_asr": r.test_asr, "mean_snr_db": r.mean_snr_db,
-             "mean_l_db": r.mean_l_db}
-            for method, m, r in results]
-
-
 def single_sample_attack(model: VictimModel, x: np.ndarray, y: np.ndarray,
                          testset: tuple[np.ndarray, np.ndarray],
                          cfg: PenaltyConfig | None = None) -> list[tuple[int, EvalReport]]:
@@ -286,6 +282,8 @@ def single_sample_attack(model: VictimModel, x: np.ndarray, y: np.ndarray,
         raise InvalidInputError("need one labeled sample per class")
     if np.unique(y).size != y.size:
         raise InvalidInputError("classes must be distinct")
+    if np.any(y < 0) or np.any(y >= model.num_classes):
+        raise InvalidInputError("class out of range for the victim")
     if cfg is None:
         cfg = PenaltyConfig(c=0.2, kappa=90.0, batch_size=1, max_iters=19)
     out = []

@@ -50,7 +50,6 @@ class GreedyResult:
     perturbation: Perturbation
     asr_trace: list[float]  # initial value plus one entry per epoch
     converged: bool
-    epochs: int
     inner_calls: int
 
 
@@ -96,9 +95,8 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyRe
     v = np.zeros(d)
     trace = [asr(model, x, v, cfg.mode, cfg.target, reference=clean_preds)]
     inner_calls = 0
-    epochs = 0
 
-    while trace[-1] < 1.0 - cfg.delta and epochs < cfg.max_epochs:
+    while trace[-1] < 1.0 - cfg.delta and len(trace) <= cfg.max_epochs:
         for i in rng.permutation(m):
             point = np.clip(x[i] + v, 0.0, 1.0)
             if fooled(int(model.predict(point)), cfg.mode, cfg.target, clean_preds[i]):
@@ -107,7 +105,6 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyRe
             result = ddn_minimal_perturbation(model, point, cfg.inner, cfg.mode, reference)
             inner_calls += 1
             v = project_lp(v + result.delta, cfg.p, cfg.xi)
-        epochs += 1
         trace.append(asr(model, x, v, cfg.mode, cfg.target, reference=clean_preds))
 
     pert = Perturbation(
@@ -118,4 +115,4 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyRe
                 "inner_gamma": cfg.inner.gamma},
     )
     return GreedyResult(pert, trace, converged=trace[-1] >= 1.0 - cfg.delta,
-                        epochs=epochs, inner_calls=inner_calls)
+                        inner_calls=inner_calls)

@@ -131,35 +131,31 @@ def _objective(model: VictimModel, x_tanh: np.ndarray, v: np.ndarray, refs: np.n
 
 
 def _asr_tanh(model: VictimModel, x_tanh: np.ndarray, v_tanh: np.ndarray,
-              labels: np.ndarray, mode: str, target: int | None) -> float:
+              clean: np.ndarray | None, mode: str, target: int | None) -> float:
     preds = model.predict(perturbed_sample(x_tanh, v_tanh))
-    return float(np.mean(fooled(preds, mode, target, labels)))
+    return float(np.mean(fooled(preds, mode, target, clean)))
 
 
 def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
                 cfg: PenaltyConfig) -> PenaltyResult:
     """Craft a universal perturbation by penalty descent in tanh space.
 
-    y holds the samples' labels; an untargeted attack counts a sample as
-    fooled when the perturbed prediction differs from its label. For targeted
-    attacks y may be None.
+    An untargeted attack escapes each sample's clean prediction: the hinge
+    pushes against it, and a sample counts as fooled when its perturbed
+    prediction differs from it. A targeted attack reaches cfg.target. The
+    labels y (None allowed) only have to line up with x; they are not
+    consulted otherwise.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] == 0 or x.shape[1] == 0:
         raise InvalidInputError("empty crafting set")
     m, d = x.shape
-    if y is None:
-        if cfg.mode == "untargeted":
-            raise InvalidInputError("untargeted crafting needs labels")
-        y = np.zeros(m, dtype=np.int64)
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if y.shape != (m,):
+    if y is not None and np.shape(y) != (m,):
         raise InvalidInputError("labels must align with samples")
-    if np.any(y < 0) or np.any(y >= model.num_classes):
-        raise InvalidInputError("label out of range for the victim")
     check_mode(cfg.mode, cfg.target, model.num_classes)
 
     x_tanh = to_tanh_space(x)
+    clean = model.predict(x) if cfg.mode == "untargeted" else None
     batches = seeded_batches(m, cfg.batch_size, np.random.default_rng(cfg.seed))
     adam = AdamState()
     v = np.zeros(d)
@@ -172,7 +168,7 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
     iteration = 0
 
     while True:
-        current = _asr_tanh(model, x_tanh, v, y, cfg.mode, cfg.target)
+        current = _asr_tanh(model, x_tanh, v, clean, cfg.mode, cfg.target)
         asr_trace.append(current)
         if current >= best_asr:  # ties keep the latest (deepest) iterate
             best_asr, best_v = current, v
@@ -183,7 +179,7 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
             break
 
         batch = next(batches)
-        refs = np.full(batch.size, cfg.target) if cfg.mode == "targeted" else y[batch]
+        refs = np.full(batch.size, cfg.target) if cfg.mode == "targeted" else clean[batch]
         spl_v, hinges, grad = _objective(model, x_tanh[batch], v, refs, cfg.c, cfg.kappa, cfg.mode)
         records.append({
             "loss_min": float(np.min(spl_v + cfg.c * hinges)),

@@ -11,6 +11,7 @@ from uapaudio import (
     Perturbation,
     applied_perturbation,
     evaluate_uap,
+    greedy_uap,
     penalty_uap,
     report_summary,
     report_to_csv,
@@ -23,7 +24,7 @@ from uapaudio import (
     two_proportion_z,
 )
 from uapaudio.container import read_csv
-from uapaudio.evaluation import REPORT_COLUMNS, confidence_sweep_rows, datacount_sweep_rows
+from uapaudio.evaluation import REPORT_COLUMNS
 
 from oracles import linear_victim_from_params
 
@@ -162,6 +163,27 @@ class TestEvaluateUap:
         assert [float(r[3]) for r in rows] == [r.snr_db for r in report.rows]
 
 
+class TestUntargetedReference:
+    def test_every_path_escapes_the_clean_prediction(self):
+        # two of the four labels are swapped, so the victim gets half the set
+        # wrong; penalty, greedy and evaluate all judge untargeted success
+        # against its clean predictions, so before any update nothing is fooled
+        model = axis_model()
+        x, y = axis_samples()
+        y = y[[2, 1, 0, 3]]
+        assert np.mean(model.predict(x) != y) == 0.5
+        cfg = PenaltyConfig(c=20.0, max_iters=5, seed=0)
+        penalty = penalty_uap(model, x, y, cfg)
+        greedy = greedy_uap(model, x, GreedyConfig(max_epochs=1, seed=0))
+        assert penalty.asr_trace[0] == 0.0 == greedy.asr_trace[0]
+        assert evaluate_uap(model, (x, y), penalty.perturbation).test_asr == \
+            penalty.perturbation.train_asr
+        # the labels are only checked for alignment: without them the craft is the same
+        unlabeled = penalty_uap(model, x, None, cfg)
+        assert unlabeled.asr_trace == penalty.asr_trace
+        np.testing.assert_array_equal(unlabeled.perturbation.v_tanh, penalty.perturbation.v_tanh)
+
+
 class TestTransfer:
     def test_matrix_layout_and_diagonal(self):
         models = [axis_model(), axis_model()]
@@ -208,20 +230,19 @@ class TestSweeps:
     def test_confidence_sweep_matches_direct_run(self, victim, train_xy, test_xy):
         x, y = train_xy
         base = PenaltyConfig(c=20.0, max_iters=8, min_iters=8, seed=0)
-        results = sweep_confidence(victim, x[:20], y[:20], test_xy,
-                                   kappa_grid=[40.0], cfg=base)
-        assert len(results) == 1
-        kappa, report = results[0]
-        assert kappa == 40.0
+        rows = sweep_confidence(victim, x[:20], y[:20], test_xy,
+                                kappa_grid=[40.0], cfg=base)
+        assert len(rows) == 1
+        assert rows[0]["kappa"] == 40.0
         direct = penalty_uap(victim, x[:20], y[:20], base)
-        assert report.test_asr == evaluate_uap(victim, test_xy, direct.perturbation).test_asr
+        assert rows[0]["test_asr"] == evaluate_uap(victim, test_xy, direct.perturbation).test_asr
+        assert rows[0]["train_asr"] == direct.perturbation.train_asr
 
     def test_confidence_rows_and_csv(self, victim, train_xy, test_xy, tmp_path):
         x, y = train_xy
         base = PenaltyConfig(c=20.0, max_iters=2, min_iters=2, seed=0)
-        results = sweep_confidence(victim, x[:10], y[:10], test_xy,
-                                   kappa_grid=[0.0, 40.0], cfg=base)
-        rows = confidence_sweep_rows(results)
+        rows = sweep_confidence(victim, x[:10], y[:10], test_xy,
+                                kappa_grid=[0.0, 40.0], cfg=base)
         assert [r["kappa"] for r in rows] == [0.0, 40.0]
         f = tmp_path / "sweep.csv"
         sweep_to_csv(rows, f)
@@ -237,29 +258,26 @@ class TestSweeps:
             sweep_to_csv([], "unused.csv")
 
     def test_datacount_full_set_equals_direct_craft(self, victim, train_xy, test_xy):
-        from uapaudio import greedy_uap
-
         x, y = train_xy
         n = 12
         greedy_cfg = GreedyConfig(seed=0, max_epochs=3)
         penalty_cfg = PenaltyConfig(c=20.0, max_iters=5, min_iters=5, seed=0)
-        results = sweep_datacount(victim, x[:n], y[:n], test_xy, m_grid=[n],
-                                  greedy_cfg=greedy_cfg, penalty_cfg=penalty_cfg)
-        assert [(method, m) for method, m, _ in results] == [("greedy", n), ("penalty", n)]
-        by_method = {method: report for method, _, report in results}
+        rows = sweep_datacount(victim, x[:n], y[:n], test_xy, m_grid=[n],
+                               greedy_cfg=greedy_cfg, penalty_cfg=penalty_cfg)
+        assert [(r["method"], r["m"]) for r in rows] == [("greedy", n), ("penalty", n)]
+        assert list(rows[0]) == ["method", "m", "train_asr", "test_asr", "mean_snr_db",
+                                 "mean_l_db"]
         g_direct = greedy_uap(victim, x[:n], greedy_cfg)
-        assert by_method["greedy"].test_asr == \
+        assert rows[0]["test_asr"] == \
             evaluate_uap(victim, test_xy, g_direct.perturbation).test_asr
-        rows = datacount_sweep_rows(results)
-        assert rows[0]["method"] == "greedy" and rows[0]["m"] == n
 
     def test_datacount_grid_filtered_to_feasible(self, victim, train_xy, test_xy):
         x, y = train_xy
         greedy_cfg = GreedyConfig(seed=0, max_epochs=1)
         penalty_cfg = PenaltyConfig(c=20.0, max_iters=1, seed=0)
-        results = sweep_datacount(victim, x[:6], y[:6], test_xy, m_grid=[3, 999],
-                                  greedy_cfg=greedy_cfg, penalty_cfg=penalty_cfg)
-        assert sorted({m for _, m, _ in results}) == [3]
+        rows = sweep_datacount(victim, x[:6], y[:6], test_xy, m_grid=[3, 999],
+                               greedy_cfg=greedy_cfg, penalty_cfg=penalty_cfg)
+        assert sorted({r["m"] for r in rows}) == [3]
         with pytest.raises(InvalidInputError):
             sweep_datacount(victim, x[:6], y[:6], test_xy, m_grid=[0],
                             greedy_cfg=greedy_cfg, penalty_cfg=penalty_cfg)
@@ -275,19 +293,21 @@ class TestSingleSample:
         for _, report in results:
             assert report.method == "penalty"
 
-    def test_mislabeled_sample_converges_to_silence(self, test_xy):
-        # if the sample already counts as fooled the loop stops at iteration
-        # zero and the crafted perturbation is the zero vector
+    def test_mislabeled_sample_escapes_its_clean_class(self):
+        # the label (1) is wrong: the class to escape is the clean prediction
+        # (0), so the sample does not count as fooled before any update and
+        # the craft runs its iterations instead of returning the zero vector
         model = axis_model()
         x = np.full((1, 8), 0.5)
         x[0, 0] = 0.9  # model says class 0; label claims 1
-        results = single_sample_attack(model, x, np.array([1]),
-                                       (np.asarray(axis_samples()[0]), None))
+        cfg = PenaltyConfig(c=20.0, kappa=90.0, batch_size=1, max_iters=19)
+        res = penalty_uap(model, x, np.array([1]), cfg)
+        assert res.asr_trace[0] == 0.0 and res.iterations > 0
+        assert np.any(res.perturbation.v_tanh != 0.0)
+        results = single_sample_attack(model, x, np.array([1]), (x, None), cfg=cfg)
         label, report = results[0]
-        assert label == 1
-        assert report.test_asr == 0.0
-        assert all(r.clean_pred == r.perturbed_pred for r in report.rows)
-        assert report.mean_snr_db > 60.0
+        assert label == 1 and report.rows[0].clean_pred == 0
+        assert report.train_asr == res.perturbation.train_asr
 
     def test_validation(self, victim, train_xy, test_xy):
         x, y = train_xy
@@ -295,3 +315,5 @@ class TestSingleSample:
             single_sample_attack(victim, x[:2], y[:1], test_xy)
         with pytest.raises(InvalidInputError):
             single_sample_attack(victim, x[:2], np.array([1, 1]), test_xy)
+        with pytest.raises(InvalidInputError):
+            single_sample_attack(victim, x[:1], np.array([99]), test_xy)

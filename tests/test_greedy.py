@@ -102,7 +102,7 @@ class TestGreedyLoop:
         model = two_class_model(rng.normal(size=8), 0.1)
         x = rng.uniform(0.3, 0.7, (5, 8))
         res = greedy_uap(model, x, GreedyConfig(delta=1.0))
-        assert res.converged and res.epochs == 0 and res.inner_calls == 0
+        assert res.converged and res.inner_calls == 0
         assert res.asr_trace == [0.0]
         np.testing.assert_array_equal(res.perturbation.v_signal, np.zeros(8))
 
@@ -113,7 +113,7 @@ class TestGreedyLoop:
         model = two_class_model(w, b)
         x = np.tile(x0, (6, 1))
         res = greedy_uap(model, x, GreedyConfig(seed=3))
-        assert res.converged and res.inner_calls == 1 and res.epochs == 1
+        assert res.converged and res.inner_calls == 1
         assert res.asr_trace == [0.0, 1.0]
 
     def test_single_sample_reduces_to_inner_attack(self, rng):
@@ -146,7 +146,6 @@ class TestGreedyLoop:
         res = greedy_uap(victim, x[::6], GreedyConfig(seed=0))
         assert res.converged
         assert res.asr_trace[-1] >= 0.9
-        assert res.epochs == len(res.asr_trace) - 1
         assert res.perturbation.method == "greedy"
         assert res.perturbation.train_asr == res.asr_trace[-1]
 
@@ -168,7 +167,7 @@ class TestGreedyLoop:
         cfg = GreedyConfig(max_epochs=1, delta=0.01,
                            inner=InnerAttackConfig(steps=2, init_norm=1e-4))
         res = greedy_uap(victim, x[:20], cfg)
-        assert res.epochs == 1
+        assert len(res.asr_trace) - 1 == 1
         assert not res.converged or res.asr_trace[-1] >= 0.99
 
     def test_targeted_craft_takes_its_goal_from_the_craft(self, victim, train_xy):

@@ -318,11 +318,7 @@ class TestPenaltyLoop:
     def test_validation(self, victim, train_xy):
         x, y = train_xy
         with pytest.raises(InvalidInputError):
-            penalty_uap(victim, x[:4], None, PenaltyConfig())
-        with pytest.raises(InvalidInputError):
             penalty_uap(victim, x[:4], y[:3], PenaltyConfig())
-        with pytest.raises(InvalidInputError):
-            penalty_uap(victim, x[:4], np.array([0, 1, 2, 99]), PenaltyConfig())
         with pytest.raises(InvalidInputError):
             penalty_uap(victim, np.zeros((0, 8)), None,
                         PenaltyConfig(mode="targeted", target=0))
