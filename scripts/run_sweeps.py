@@ -37,13 +37,13 @@ def main() -> None:
     t0 = time.perf_counter()
 
     ds = _desk.dataset(args)
-    x, y = ds.arrays("train")
+    x = ds.arrays("train")[0]
     testset = ds.arrays("test")
     model, _ = _desk.victim(args, ds)
     print(f"victim test acc {accuracy(model, *testset):.3f}")
 
     print(f"== kappa sweep over {KAPPA_GRID} ==")
-    conf = sweep_confidence(model, x, y, testset,
+    conf = sweep_confidence(model, x, testset,
                             cfg=PenaltyConfig(c=args.c, seed=args.seed))
     for row in conf:
         print(f"kappa {row['kappa']:5.1f}  test {row['test_asr']:.3f}  "
@@ -52,7 +52,7 @@ def main() -> None:
 
     print(f"== data-count sweep over {DATACOUNT_GRID} ==")
     counts = sweep_datacount(
-        model, x, y, testset,
+        model, x, testset,
         greedy_cfg=GreedyConfig(seed=args.seed),
         penalty_cfg=PenaltyConfig(c=args.c, kappa=90.0, min_iters=19, seed=args.seed),
         seed=args.seed,

@@ -219,18 +219,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     dataset = load_dataset_dir(args.data)
-    x, y = dataset.arrays("train")
-    x, y = _craft_subset(x, y, args.m, args.seed)
+    x, _ = _craft_subset(*dataset.arrays("train"), args.m, args.seed)
     testset = dataset.arrays("test")
     out = Path(args.out)
 
     if args.what == "confidence":
         grid = _parse_grid(args.grid) if args.grid else list(KAPPA_GRID)
-        rows = sweep_confidence(model, x, y, testset, grid, _config(PenaltyConfig, args))
+        rows = sweep_confidence(model, x, testset, grid, _config(PenaltyConfig, args))
     else:
         grid = [int(g) for g in _parse_grid(args.grid)] if args.grid else list(DATACOUNT_GRID)
         rows = sweep_datacount(
-            model, x, y, testset, grid, _config(GreedyConfig, args), _config(PenaltyConfig, args),
+            model, x, testset, grid, _config(GreedyConfig, args), _config(PenaltyConfig, args),
             seed=args.seed)
 
     sweep_to_csv(rows, out)

@@ -208,7 +208,7 @@ def _sweep_row(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
             "mean_snr_db": r.mean_snr_db, "mean_l_db": r.mean_l_db}
 
 
-def sweep_confidence(model: VictimModel, x: np.ndarray, y: np.ndarray,
+def sweep_confidence(model: VictimModel, x: np.ndarray,
                      testset: tuple[np.ndarray, np.ndarray],
                      kappa_grid=KAPPA_GRID,
                      cfg: PenaltyConfig | None = None) -> list[dict]:
@@ -221,12 +221,12 @@ def sweep_confidence(model: VictimModel, x: np.ndarray, y: np.ndarray,
     out = []
     for kappa in kappas:
         run_cfg = replace(cfg, kappa=kappa)
-        result = penalty_uap(model, x, y, run_cfg)
+        result = penalty_uap(model, x, None, run_cfg)
         out.append(_sweep_row(model, testset, result.perturbation, kappa=kappa))
     return out
 
 
-def sweep_datacount(model: VictimModel, x: np.ndarray, y: np.ndarray,
+def sweep_datacount(model: VictimModel, x: np.ndarray,
                     testset: tuple[np.ndarray, np.ndarray],
                     m_grid=DATACOUNT_GRID,
                     greedy_cfg: GreedyConfig | None = None,
@@ -235,7 +235,6 @@ def sweep_datacount(model: VictimModel, x: np.ndarray, y: np.ndarray,
     """Craft with both methods from the first m samples of one seeded shuffle;
     one row per craft, greedy first at each m."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
     counts = sorted({int(m) for m in m_grid if 1 <= int(m) <= x.shape[0]})
     if not counts:
         raise InvalidInputError("data-count grid has no feasible sizes")
@@ -248,7 +247,7 @@ def sweep_datacount(model: VictimModel, x: np.ndarray, y: np.ndarray,
         idx = _seeded_subset(x.shape[0], m, seed)
         g = greedy_uap(model, x[idx], greedy_cfg)
         out.append(_sweep_row(model, testset, g.perturbation, method="greedy", m=m))
-        p = penalty_uap(model, x[idx], y[idx], penalty_cfg)
+        p = penalty_uap(model, x[idx], None, penalty_cfg)
         out.append(_sweep_row(model, testset, p.perturbation, method="penalty", m=m))
     return out
 

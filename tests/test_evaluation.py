@@ -230,8 +230,7 @@ class TestSweeps:
     def test_confidence_sweep_matches_direct_run(self, victim, train_xy, test_xy):
         x, y = train_xy
         base = PenaltyConfig(c=20.0, max_iters=8, min_iters=8, seed=0)
-        rows = sweep_confidence(victim, x[:20], y[:20], test_xy,
-                                kappa_grid=[40.0], cfg=base)
+        rows = sweep_confidence(victim, x[:20], test_xy, kappa_grid=[40.0], cfg=base)
         assert len(rows) == 1
         assert rows[0]["kappa"] == 40.0
         direct = penalty_uap(victim, x[:20], y[:20], base)
@@ -239,10 +238,9 @@ class TestSweeps:
         assert rows[0]["train_asr"] == direct.perturbation.train_asr
 
     def test_confidence_rows_and_csv(self, victim, train_xy, test_xy, tmp_path):
-        x, y = train_xy
+        x, _ = train_xy
         base = PenaltyConfig(c=20.0, max_iters=2, min_iters=2, seed=0)
-        rows = sweep_confidence(victim, x[:10], y[:10], test_xy,
-                                kappa_grid=[0.0, 40.0], cfg=base)
+        rows = sweep_confidence(victim, x[:10], test_xy, kappa_grid=[0.0, 40.0], cfg=base)
         assert [r["kappa"] for r in rows] == [0.0, 40.0]
         f = tmp_path / "sweep.csv"
         sweep_to_csv(rows, f)
@@ -251,9 +249,9 @@ class TestSweeps:
         assert len(body) == 2
 
     def test_empty_grid_rejected(self, victim, train_xy, test_xy):
-        x, y = train_xy
+        x, _ = train_xy
         with pytest.raises(InvalidInputError):
-            sweep_confidence(victim, x[:5], y[:5], test_xy, kappa_grid=[])
+            sweep_confidence(victim, x[:5], test_xy, kappa_grid=[])
         with pytest.raises(InvalidInputError):
             sweep_to_csv([], "unused.csv")
 
@@ -262,7 +260,7 @@ class TestSweeps:
         n = 12
         greedy_cfg = GreedyConfig(seed=0, max_epochs=3)
         penalty_cfg = PenaltyConfig(c=20.0, max_iters=5, min_iters=5, seed=0)
-        rows = sweep_datacount(victim, x[:n], y[:n], test_xy, m_grid=[n],
+        rows = sweep_datacount(victim, x[:n], test_xy, m_grid=[n],
                                greedy_cfg=greedy_cfg, penalty_cfg=penalty_cfg)
         assert [(r["method"], r["m"]) for r in rows] == [("greedy", n), ("penalty", n)]
         assert list(rows[0]) == ["method", "m", "train_asr", "test_asr", "mean_snr_db",
@@ -270,16 +268,21 @@ class TestSweeps:
         g_direct = greedy_uap(victim, x[:n], greedy_cfg)
         assert rows[0]["test_asr"] == \
             evaluate_uap(victim, test_xy, g_direct.perturbation).test_asr
+        # the sweep crafts without labels; a labeled direct craft is the same
+        p_direct = penalty_uap(victim, x[:n], y[:n], penalty_cfg)
+        assert rows[1]["train_asr"] == p_direct.perturbation.train_asr
+        assert rows[1]["test_asr"] == \
+            evaluate_uap(victim, test_xy, p_direct.perturbation).test_asr
 
     def test_datacount_grid_filtered_to_feasible(self, victim, train_xy, test_xy):
-        x, y = train_xy
+        x, _ = train_xy
         greedy_cfg = GreedyConfig(seed=0, max_epochs=1)
         penalty_cfg = PenaltyConfig(c=20.0, max_iters=1, seed=0)
-        rows = sweep_datacount(victim, x[:6], y[:6], test_xy, m_grid=[3, 999],
+        rows = sweep_datacount(victim, x[:6], test_xy, m_grid=[3, 999],
                                greedy_cfg=greedy_cfg, penalty_cfg=penalty_cfg)
         assert sorted({r["m"] for r in rows}) == [3]
         with pytest.raises(InvalidInputError):
-            sweep_datacount(victim, x[:6], y[:6], test_xy, m_grid=[0],
+            sweep_datacount(victim, x[:6], test_xy, m_grid=[0],
                             greedy_cfg=greedy_cfg, penalty_cfg=penalty_cfg)
 
 
