@@ -50,15 +50,9 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return v if np.isfinite(v) else repr(v)  # canonical JSON refuses inf/nan
-    if isinstance(value, Path):
-        return str(value)
+    if isinstance(value, float):  # np.float64 too
+        value = float(value)
+        return value if np.isfinite(value) else repr(value)  # canonical JSON refuses inf/nan
     return value
 
 
@@ -227,7 +221,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = _parse_grid(args.grid) if args.grid else list(KAPPA_GRID)
         rows = sweep_confidence(model, x, testset, grid, _config(PenaltyConfig, args))
     else:
-        grid = [int(g) for g in _parse_grid(args.grid)] if args.grid else list(DATACOUNT_GRID)
+        grid = _parse_grid(args.grid) if args.grid else list(DATACOUNT_GRID)
         rows = sweep_datacount(
             model, x, testset, grid, _config(GreedyConfig, args), _config(PenaltyConfig, args),
             seed=args.seed)

@@ -100,8 +100,8 @@ def generate_synthetic_dataset(num_classes: int, per_class: int, dim: int,
         test_per_class = per_class // 2
     if not (0 <= val_per_class < np.inf and 0 <= test_per_class < np.inf):
         raise InvalidInputError("validation and test counts must be >= 0")
-    if not 1 <= sample_rate < np.inf:
-        raise InvalidInputError("sample rate must be >= 1")
+    if not 1 <= sample_rate < 2**31:  # a WAV header stores rate * 2 bytes as uint32
+        raise InvalidInputError("sample rate must lie in [1, 2**31)")
     edges = band_edges(num_classes, dim)
     templates = [class_template(dim, edges[k], edges[k + 1], tone_amplitude)
                  for k in range(num_classes)]

@@ -235,7 +235,11 @@ def sweep_datacount(model: VictimModel, x: np.ndarray,
     """Craft with both methods from the first m samples of one seeded shuffle;
     one row per craft, greedy first at each m."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    counts = sorted({int(m) for m in m_grid if 1 <= int(m) <= x.shape[0]})
+    m_grid = list(m_grid)
+    # a Python int may lie past float range; is_integer() is False for nan and inf
+    if not all(isinstance(m, int) or float(m).is_integer() for m in m_grid):
+        raise InvalidInputError(f"data-count grid {m_grid} holds a value that is not a whole number")
+    counts = sorted({int(m) for m in m_grid if 1 <= m <= x.shape[0]})
     if not counts:
         raise InvalidInputError("data-count grid has no feasible sizes")
     if greedy_cfg is None:

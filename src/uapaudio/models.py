@@ -2,7 +2,7 @@
 
 Registry architectures:
 
-    rand-cnn    two conv-relu-maxpool blocks + dense head, random init
+    rand-cnn    two conv-maxpool-relu blocks + dense head, random init
     gamma-cnn   same topology with a frozen band-pass filterbank first layer
     linear      flatten + one dense layer, for closed-form oracle tests
 
@@ -254,10 +254,8 @@ class VictimModel:
         differently when a block gives it few rows (up to 9 rows at d=1024,
         1 row at d=4096). Flatten and the head run once on the whole batch,
         because OpenBLAS rounds a Dense GEMM differently at many row counts
-        (its edge tiles), blocks of 17 to 32 rows included.
-        In the blocks each ReLU that feeds a MaxPool1D runs after it instead:
-        a max commutes with a monotone map, float for float, and the ReLU then
-        sees a quarter of the values.
+        (its edge tiles), blocks of 17 to 32 rows included. Up to _ROW_BLOCK
+        rows it calls forward_cached, which costs less per batch-1 call (DDN).
         """
         batch, single = self._as_batch(x)
         if batch.shape[0] <= _ROW_BLOCK:
@@ -265,14 +263,10 @@ class VictimModel:
             return out[0] if single else out
         front = next((i for i, layer in enumerate(self.layers) if isinstance(layer, Flatten)),
                      len(self.layers))
-        order = self.layers[:front]
-        for i in range(front - 1):
-            if isinstance(order[i], ReLU) and isinstance(order[i + 1], MaxPool1D):
-                order[i], order[i + 1] = order[i + 1], order[i]
         blocks = []
         for block in np.array_split(batch, -(-batch.shape[0] // _ROW_BLOCK)):
             h = block[:, :, None]
-            for layer in order:
+            for layer in self.layers[:front]:
                 h, _ = layer.forward(h)
             blocks.append(h)
         h = np.concatenate(blocks)
@@ -345,9 +339,10 @@ def _build_cnn(input_dim: int, num_classes: int, seed: int, sample_rate: int, ga
     if length < 1:
         raise InvalidInputError(f"input dimension {input_dim} too small for this architecture")
     flat = 16 * length
+    # pooling first leaves the ReLU a quarter of the values; a max commutes with a monotone map
     layers = [
-        conv1, ReLU(), MaxPool1D(4),
-        conv2, ReLU(), MaxPool1D(4),
+        conv1, MaxPool1D(4), ReLU(),
+        conv2, MaxPool1D(4), ReLU(),
         Flatten(),
         Dense(_he_init(rng, (flat, 32), flat), np.zeros(32)), ReLU(),
         Dense(_he_init(rng, (32, num_classes), 32), np.zeros(num_classes)),

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from uapaudio.models import Dense, Flatten, VictimModel
+from uapaudio.models import Dense, Flatten, MaxPool1D, ReLU, VictimModel
 
 
 def linear_victim_from_params(weight: np.ndarray, bias: np.ndarray) -> VictimModel:
@@ -10,6 +10,16 @@ def linear_victim_from_params(weight: np.ndarray, bias: np.ndarray) -> VictimMod
     weight = np.asarray(weight, dtype=np.float64)
     return VictimModel([Flatten(), Dense(weight, np.asarray(bias, dtype=np.float64))],
                        input_dim=weight.shape[0], num_classes=weight.shape[1], arch="linear")
+
+
+def relu_before_pool(model: VictimModel) -> VictimModel:
+    """The model over the same layer objects, with each ReLU moved before the MaxPool1D it follows."""
+    layers = list(model.layers)
+    for i in range(len(layers) - 1):
+        if isinstance(layers[i], MaxPool1D) and isinstance(layers[i + 1], ReLU):
+            layers[i], layers[i + 1] = layers[i + 1], layers[i]
+    return VictimModel(layers, model.input_dim, model.num_classes, arch=model.arch,
+                       seed=model.seed, sample_rate=model.sample_rate)
 
 
 def conv_input_grad_per_tap(weight: np.ndarray, stride: int, dy: np.ndarray,

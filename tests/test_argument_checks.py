@@ -98,7 +98,8 @@ def test_train_rejects_non_finite_and_out_of_range(name, data):
 
 @pytest.mark.parametrize("name,bad", [("val_per_class", -1), ("test_per_class", -1),
                                       ("test_per_class", np.nan), ("sample_rate", 0),
-                                      ("sample_rate", -16000), ("sample_rate", np.nan)])
+                                      ("sample_rate", -16000), ("sample_rate", np.nan),
+                                      ("sample_rate", 2**31)])
 def test_generation_rejects_negative_counts_and_rates(name, bad):
     with pytest.raises(InvalidInputError):
         generate_synthetic_dataset(2, 2, 256, seed=0, **{name: bad})

@@ -318,13 +318,15 @@ class TestErrors:
         (["train-victim", "--arch", "linear", "--lr", "nan"], "learning rate"),
         (["train-victim", "--arch", "linear", "--batch", "0"], "batch size"),
         (["train-victim", "--arch", "linear", "--epochs", "0"], "--epochs"),
+        (["sweep", "datacount", "--grid", "nan"], "whole number"),
+        (["sweep", "datacount", "--grid", "5,inf"], "whole number"),
     ], ids=["greedy-target-9", "penalty-target-9", "penalty-target-minus-1", "xi-nan", "c-nan",
-            "c-inf", "kappa-nan", "lr-nan", "batch-0", "epochs-0"])
+            "c-inf", "kappa-nan", "lr-nan", "batch-0", "epochs-0", "datacount-nan", "datacount-inf"])
     def test_bad_value_exits_2(self, workspace, tmp_path, capsys, argv, message):
         import warnings
 
         argv = argv + ["--data", str(workspace / "data"), "--out", str(tmp_path / "out")]
-        if argv[0] == "craft":
+        if argv[0] in ("craft", "sweep"):
             argv += ["--model", str(workspace / "victim.uapc")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a NumPy RuntimeWarning is not a clean refusal
@@ -374,7 +376,8 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--test-per-class", "-1"], ["--val-per-class", "-1"],
-                                       ["--rate", "0"]], ids=["test-minus-1", "val-minus-1", "rate-0"])
+                                       ["--rate", "0"], ["--rate", "2147483648"]],
+                             ids=["test-minus-1", "val-minus-1", "rate-0", "rate-2-31"])
     def test_bad_generation_argument_writes_nothing(self, tmp_path, capsys, flags):
         rc = main(["gen-data", "--classes", "2", "--per-class", "3", "--dim", "256",
                    "--out", str(tmp_path / "d")] + flags)

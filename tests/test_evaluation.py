@@ -278,12 +278,18 @@ class TestSweeps:
         x, _ = train_xy
         greedy_cfg = GreedyConfig(seed=0, max_epochs=1)
         penalty_cfg = PenaltyConfig(c=20.0, max_iters=1, seed=0)
-        rows = sweep_datacount(victim, x[:6], test_xy, m_grid=[3, 999],
+        rows = sweep_datacount(victim, x[:6], test_xy, m_grid=[3, 999, 10**400],
                                greedy_cfg=greedy_cfg, penalty_cfg=penalty_cfg)
         assert sorted({r["m"] for r in rows}) == [3]
         with pytest.raises(InvalidInputError):
             sweep_datacount(victim, x[:6], test_xy, m_grid=[0],
                             greedy_cfg=greedy_cfg, penalty_cfg=penalty_cfg)
+
+    @pytest.mark.parametrize("m", [np.nan, np.inf, 1.5, float("1e400")], ids=["nan", "inf", "1.5", "1e400"])
+    def test_datacount_grid_of_non_whole_numbers_rejected(self, victim, train_xy, test_xy, m):
+        x, _ = train_xy
+        with pytest.raises(InvalidInputError, match="whole number"):
+            sweep_datacount(victim, x[:6], test_xy, m_grid=[3, m])
 
 
 class TestSingleSample:

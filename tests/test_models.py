@@ -1,5 +1,6 @@
 """Victim models: forwards, exact gradients, training, checkpoints."""
 
+import copy
 import tracemalloc
 from itertools import islice
 
@@ -17,10 +18,10 @@ from uapaudio import (
     save_model,
     train,
 )
-from uapaudio.models import Conv1D, MaxPool1D, cross_entropy_grad, softmax
+from uapaudio.models import Conv1D, MaxPool1D, ReLU, cross_entropy_grad, softmax
 from uapaudio.optim import AdamState, adam_update, seeded_batches
 
-from oracles import conv_input_grad_per_tap, linear_victim_from_params, maxpool_first_max
+from oracles import conv_input_grad_per_tap, linear_victim_from_params, maxpool_first_max, relu_before_pool
 
 
 class TestLinearClosedForm:
@@ -152,6 +153,39 @@ class TestBlockedLogits:
         finally:
             tracemalloc.stop()
         assert peak < im2col_bytes / 10
+
+
+class TestLayerOrder:
+    """Each CNN block pools before its ReLU; a max commutes with a monotone map, float for float."""
+
+    @pytest.mark.parametrize("dim", [1024, 4096])
+    @pytest.mark.parametrize("batch", [1, 25, 32, 100])
+    @pytest.mark.parametrize("arch", ["rand-cnn", "gamma-cnn"])
+    def test_passes_equal_relu_before_pool(self, arch, batch, dim):
+        model = build_victim(arch, dim, 3, seed=6)
+        oracle = relu_before_pool(model)
+        assert [type(layer) for layer in model.layers[:6]] == [Conv1D, MaxPool1D, ReLU] * 2
+        assert [type(layer) for layer in oracle.layers[:6]] == [Conv1D, ReLU, MaxPool1D] * 2
+        x = np.random.default_rng(batch).uniform(0, 1, (batch, dim))
+        (logits, caches), (ref_logits, ref_caches) = model.forward_cached(x), oracle.forward_cached(x)
+        assert logits.tobytes() == ref_logits.tobytes()
+        dlogits = cross_entropy_grad(logits, np.arange(batch) % 3)
+        assert model.backward_input(caches, dlogits).tobytes() == \
+            oracle.backward_input(ref_caches, dlogits).tobytes()
+        grads, ref_grads = model.backward_params(caches, dlogits), oracle.backward_params(ref_caches, dlogits)
+        assert [g is None for g in grads] == [g is None for g in ref_grads]
+        for g, ref in zip(grads, ref_grads):
+            for name in g or {}:
+                assert g[name].tobytes() == ref[name].tobytes(), name
+
+    @pytest.mark.parametrize("arch", ["rand-cnn", "gamma-cnn"])
+    def test_training_equals_relu_before_pool(self, arch):
+        ds = generate_synthetic_dataset(3, 20, 1024, seed=6)
+        model = build_victim(arch, 1024, 3, seed=6)
+        oracle = relu_before_pool(copy.deepcopy(model))
+        train(model, ds, epochs=2, seed=6)
+        train(oracle, ds, epochs=2, seed=6)
+        assert model.parameter_vector().tobytes() == oracle.parameter_vector().tobytes()
 
 
 class TestConvInputGradient:
@@ -404,7 +438,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("defect", ["no-layers", "layers-not-list", "no-weight", "nan-weight", "inf-bias",
                                         "input-dim", "classes", "zero-stride", "frozen-dense",
-                                        *BAD_LAYER0, *BAD_BLOBS, *BAD_ARCH, *BAD_SIZES])
+                                        "relu-before-pool", *BAD_LAYER0, *BAD_BLOBS, *BAD_ARCH, *BAD_SIZES])
     def test_malformed_checkpoint_is_format_error(self, defect, tmp_path):
         from uapaudio.container import read_container, write_container
 
@@ -432,6 +466,10 @@ class TestCheckpoints:
         elif defect == "frozen-dense":
             # self-consistent, and loadable by a generic layer loader, but not rand-cnn's head
             manifest["layers"][7]["frozen"] = True
+        elif defect == "relu-before-pool":
+            # the layer order of rand-cnn checkpoints from before each block pooled before its ReLU
+            manifest["layers"][1:3] = manifest["layers"][4:6] = [{"type": "relu"},
+                                                                 {"type": "maxpool1d", "width": 4}]
         elif defect in self.BAD_ARCH:
             manifest["arch"] = self.BAD_ARCH[defect]
         elif defect in self.BAD_BLOBS:
