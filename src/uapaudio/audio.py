@@ -28,6 +28,18 @@ def _check_samples(x: np.ndarray) -> None:
         raise InvalidInputError("samples must be non-empty and lie in [0, 1]")
 
 
+def _whole(value) -> bool:
+    """Whether a count or rate is whole: not a fraction, NaN or inf. An int may lie past float range."""
+    return isinstance(value, int) or float(value).is_integer()
+
+
+def _check_sample_rate(rate) -> int:
+    """The rate as an int; a WAV header stores rate * 2 bytes as uint32, so it must lie in [1, 2**31)."""
+    if not (1 <= rate < 2**31 and _whole(rate)):
+        raise InvalidInputError(f"sample rate {rate} must be a whole number in [1, 2**31)")
+    return int(rate)
+
+
 @dataclass(frozen=True)
 class AudioSample:
     """A mono waveform in [0, 1]."""
@@ -40,8 +52,7 @@ class AudioSample:
         if x.ndim != 1:
             raise InvalidInputError("waveform must be a 1-D array")
         _check_samples(x)
-        if self.sample_rate <= 0:
-            raise InvalidInputError("sample rate must be positive")
+        object.__setattr__(self, "sample_rate", _check_sample_rate(self.sample_rate))
         object.__setattr__(self, "samples", x)
 
     def __len__(self) -> int:
@@ -111,7 +122,10 @@ def load_wav(path: str | Path) -> AudioSample:
     if pcm.size == 0:
         raise FormatError("empty WAV file")
     x = (pcm.astype(np.float64) / 32768.0 + 1.0) / 2.0
-    return AudioSample(samples=x, sample_rate=rate)
+    try:
+        return AudioSample(samples=x, sample_rate=rate)
+    except InvalidInputError as exc:  # PCM samples always fit, so the header's rate is at fault
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_wav(sample: AudioSample, path: str | Path) -> None:

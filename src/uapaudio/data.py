@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import DEFAULT_SAMPLE_RATE, AudioSample, load_wav, save_wav
+from .audio import DEFAULT_SAMPLE_RATE, AudioSample, _check_sample_rate, load_wav, save_wav
 from .container import read_csv, write_csv
 from .exceptions import FormatError, InvalidInputError
 
@@ -100,8 +100,7 @@ def generate_synthetic_dataset(num_classes: int, per_class: int, dim: int,
         test_per_class = per_class // 2
     if not (0 <= val_per_class < np.inf and 0 <= test_per_class < np.inf):
         raise InvalidInputError("validation and test counts must be >= 0")
-    if not 1 <= sample_rate < 2**31:  # a WAV header stores rate * 2 bytes as uint32
-        raise InvalidInputError("sample rate must lie in [1, 2**31)")
+    sample_rate = _check_sample_rate(sample_rate)
     edges = band_edges(num_classes, dim)
     templates = [class_template(dim, edges[k], edges[k + 1], tone_amplitude)
                  for k in range(num_classes)]

@@ -16,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .audio import _check_samples, rel_loudness, snr
+from .audio import _check_samples, _whole, rel_loudness, snr
 from .container import fmt_float, write_csv
 from .ddn import check_mode, fooled
 from .exceptions import DegenerateVarianceError, InvalidInputError, UndefinedMetricError
@@ -236,8 +236,7 @@ def sweep_datacount(model: VictimModel, x: np.ndarray,
     one row per craft, greedy first at each m."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     m_grid = list(m_grid)
-    # a Python int may lie past float range; is_integer() is False for nan and inf
-    if not all(isinstance(m, int) or float(m).is_integer() for m in m_grid):
+    if not all(_whole(m) for m in m_grid):
         raise InvalidInputError(f"data-count grid {m_grid} holds a value that is not a whole number")
     counts = sorted({int(m) for m in m_grid if 1 <= m <= x.shape[0]})
     if not counts:

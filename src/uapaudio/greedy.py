@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import _check_samples
+from .audio import _check_samples, _whole
 from .ddn import InnerAttackConfig, check_mode, ddn_minimal_perturbation, fooled
 from .exceptions import InvalidInputError
 from .models import VictimModel
@@ -37,8 +37,9 @@ class GreedyConfig:
             raise InvalidInputError("norm order must be 2 or inf")
         if not 0.0 < self.delta <= 1.0:
             raise InvalidInputError("delta must lie in (0, 1]")
-        if not 1 <= self.max_epochs < np.inf:
-            raise InvalidInputError("max_epochs must be >= 1")
+        if not (1 <= self.max_epochs < np.inf and _whole(self.max_epochs)):
+            raise InvalidInputError("max_epochs must be a whole number >= 1")
+        self.max_epochs = int(self.max_epochs)
         if self.xi is None:
             self.xi = 0.2 if self.mode == "untargeted" else 0.12
         if not 0.0 < self.xi < np.inf:

@@ -8,6 +8,8 @@ Registry architectures:
 
 Layer forwards are pure functions returning (output, cache); backward consumes
 the cache, so one immutable model serves concurrent forward/gradient calls.
+A Conv1D cache holds the input shape and the im2col matrix, one contiguous copy
+of the input windows, which the forward and the weight gradient both multiply.
 All arithmetic is float64. Parameters are kept exactly float32-representable,
 so checkpoints (JSON manifest + little-endian f32 blob) round-trip bit-exactly.
 """
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .audio import DEFAULT_SAMPLE_RATE
+from .audio import DEFAULT_SAMPLE_RATE, _whole
 from .container import read_container, write_container
 from .exceptions import FormatError, InvalidInputError
 from .optim import AdamState, adam_update, seeded_batches
@@ -78,13 +80,16 @@ class Conv1D(_Layer):
             raise InvalidInputError("input shorter than convolution kernel")
         x = np.ascontiguousarray(x)
         sb, sl, sc = x.strides
-        windows = as_strided(x, (batch, n_out, kernel, chans), (sb, self.stride * sl, sl, sc))
-        y = np.tensordot(windows, self.weight, axes=([2, 3], [1, 2])) + self.bias
-        return y, (x.shape, windows)
+        # im2col: one contiguous copy of the windows, the operand np.tensordot would hand BLAS
+        cols = as_strided(x, (batch, n_out, kernel, chans), (sb, self.stride * sl, sl, sc))
+        cols = cols.reshape(batch * n_out, kernel * chans)
+        y = cols @ self.weight.transpose(1, 2, 0).reshape(kernel * chans, filters)
+        y += self.bias
+        return y.reshape(batch, n_out, filters), (x.shape, cols)
 
     def backward(self, cache: tuple, dy: np.ndarray, want_params: bool,
                  want_input: bool = True) -> tuple[np.ndarray | None, dict | None]:
-        (batch, length, chans), windows = cache
+        (batch, length, chans), cols = cache
         filters, kernel, _ = self.weight.shape
         n_out = dy.shape[1]
         dx = None
@@ -102,8 +107,9 @@ class Conv1D(_Layer):
                 frames[:, j : j + n_out, :] += (rows @ weight[:, j, :]).reshape(batch, n_out, s * chans)
         grads = None
         if want_params:
-            dw = np.tensordot(dy, windows, axes=([0, 1], [0, 1]))  # (filters, kernel, in_ch)
-            grads = {"weight": dw, "bias": dy.sum(axis=(0, 1))}
+            # the forward's im2col rows serve again; einsum gives dy.sum(axis=(0, 1))'s bytes, faster
+            dw = np.ascontiguousarray(dy.transpose(2, 0, 1)).reshape(filters, -1) @ cols
+            grads = {"weight": dw.reshape(self.weight.shape), "bias": np.einsum("btf->f", dy)}
         return dx, grads
 
 
@@ -141,12 +147,14 @@ class MaxPool1D(_Layer):
         x, y = cache
         span = y.shape[1] * self.width
         dx = np.zeros(x.shape)
+        dy_bits = np.asarray(dy, dtype=np.float64).view(np.int64)
         free = None  # windows whose maximum is not yet found
         for k in range(self.width):
             hit = x[:, k:span:self.width, :] == y
             if free is not None:
                 hit &= free
-            np.copyto(dx[:, k:span:self.width, :], dy, where=hit)
+            # branch-free select: dy's bits under an all-ones mask, +0.0 under a zero mask
+            np.bitwise_and(dy_bits, -hit.astype(np.int64), out=dx[:, k:span:self.width, :].view(np.int64))
             if free is None:
                 free = ~hit
             elif k < self.width - 1:
@@ -183,7 +191,8 @@ class Dense(_Layer):
 
 
 # Most rows per block in VictimModel.logits and the penalty objective: a 32-row
-# block's conv1 im2col copy (4 MB at d=4096) and activations stay in cache.
+# block's conv1 im2col copy (4 MB at d=4096, held in the conv cache until the
+# block's backward) and activations stay in cache.
 _ROW_BLOCK = 32
 
 
@@ -457,8 +466,9 @@ def train(model: VictimModel, dataset, epochs: int = 20, *, lr: float = 1e-3,
     Frozen layers are never updated. Returns {"train_accuracy": ...}, the
     trained model's accuracy on the training split.
     """
-    if not (0 <= epochs < np.inf and 1 <= batch_size < np.inf):
-        raise InvalidInputError("epochs must be >= 0 and batch size >= 1")
+    if not (0 <= epochs < np.inf and 1 <= batch_size < np.inf and _whole(epochs) and _whole(batch_size)):
+        raise InvalidInputError("epochs must be a whole number >= 0 and batch size a whole number >= 1")
+    epochs, batch_size = int(epochs), int(batch_size)
     if not 0.0 < lr < np.inf:
         raise InvalidInputError("learning rate must be positive and finite")
     x_train, y_train = dataset.arrays("train")
@@ -474,6 +484,7 @@ def train(model: VictimModel, dataset, epochs: int = 20, *, lr: float = 1e-3,
         logits, caches = model.forward_cached(x_train[batch])
         dlogits = cross_entropy_grad(logits, y_train[batch]) / batch.size
         grads = model.backward_params(caches, dlogits)
+        del caches  # the next step's forward runs without this step's im2col rows
         for i, layer_grads in enumerate(grads):
             if not layer_grads:
                 continue

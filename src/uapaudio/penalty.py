@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import POWER_FLOOR, rms_power, spl
+from .audio import POWER_FLOOR, _whole, rms_power, spl
 from .ddn import check_mode, fooled
 from .exceptions import InvalidInputError
 from .greedy import project_lp
@@ -62,6 +62,10 @@ class PenaltyConfig:
             raise InvalidInputError("batch size and iteration cap must be >= 1")
         if not 0 <= self.min_iters <= self.max_iters:
             raise InvalidInputError("min_iters must lie in [0, max_iters]")
+        counts = (self.batch_size, self.max_iters, self.min_iters)
+        if not all(_whole(n) for n in counts):
+            raise InvalidInputError(f"batch size, max_iters and min_iters {counts} must be whole numbers")
+        self.batch_size, self.max_iters, self.min_iters = (int(n) for n in counts)
         if self.project is not None:
             p, xi = self.project
             if p not in (2, np.inf) or not 0.0 < xi < np.inf:
@@ -124,6 +128,7 @@ def _objective(model: VictimModel, x_tanh: np.ndarray, v: np.ndarray, refs: np.n
         values, dlogits = _hinge_batch(logits, refs_block, kappa, mode)
         hinges.append(values)
         hinge_grads.append(model.backward_input(caches, dlogits))  # (block, d)
+        del caches  # the next block's forward runs without this block's im2col rows
     # d(w)/d(v') = sech^2(x'+v')/2 = 2w(1-w); plain sum over the batch
     chain = 2.0 * w * (1.0 - w)
     grad = len(refs) * _spl_gradient(v) + c * np.sum(np.concatenate(hinge_grads) * chain, axis=0)

@@ -1,8 +1,9 @@
 """Reference implementations for tests that need closed-form or first-principles answers."""
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from uapaudio.models import Dense, Flatten, MaxPool1D, ReLU, VictimModel
+from uapaudio.models import Conv1D, Dense, Flatten, MaxPool1D, ReLU, VictimModel
 
 
 def linear_victim_from_params(weight: np.ndarray, bias: np.ndarray) -> VictimModel:
@@ -30,6 +31,37 @@ def conv_input_grad_per_tap(weight: np.ndarray, stride: int, dy: np.ndarray,
     for k in range(weight.shape[1]):
         dx[:, k : k + n_out * stride : stride, :] += dy @ weight[:, k, :]
     return dx
+
+
+def conv_forward_tensordot(layer: Conv1D, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Conv1D forward by np.tensordot over a strided view of the windows; the cache holds the view."""
+    batch, length, chans = x.shape
+    kernel = layer.weight.shape[1]
+    x = np.ascontiguousarray(x)
+    sb, sl, sc = x.strides
+    windows = as_strided(x, (batch, layer.out_length(length), kernel, chans), (sb, layer.stride * sl, sl, sc))
+    return np.tensordot(windows, layer.weight, axes=([2, 3], [1, 2])) + layer.bias, (x.shape, windows)
+
+
+def conv_param_grads_tensordot(windows: np.ndarray, dy: np.ndarray) -> dict:
+    """Conv1D weight gradient by np.tensordot over the windows, and bias gradient by a sum over rows."""
+    return {"weight": np.tensordot(dy, windows, axes=([0, 1], [0, 1])), "bias": dy.sum(axis=(0, 1))}
+
+
+def use_tensordot_conv(monkeypatch) -> None:
+    """Patch Conv1D to run conv_forward_tensordot and conv_param_grads_tensordot.
+
+    The input gradient is still Conv1D.backward's own, which reads only the
+    input shape from the cache.
+    """
+    original = Conv1D.backward
+
+    def backward(layer, cache, dy, want_params, want_input=True):
+        dx, _ = original(layer, cache, dy, want_params=False, want_input=want_input)
+        return dx, conv_param_grads_tensordot(cache[1], dy) if want_params else None
+
+    monkeypatch.setattr(Conv1D, "forward", conv_forward_tensordot)
+    monkeypatch.setattr(Conv1D, "backward", backward)
 
 
 def maxpool_first_max(x: np.ndarray, width: int, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

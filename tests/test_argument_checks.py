@@ -16,8 +16,10 @@ from uapaudio import (
     evaluate_uap,
     generate_synthetic_dataset,
     greedy_uap,
+    load_dataset_dir,
     penalty_uap,
     project_lp,
+    save_dataset_dir,
     to_tanh_space,
     train,
     two_proportion_z,
@@ -34,19 +36,24 @@ def below(count: int):
     return st.integers(max_value=count - 1) | non_finite
 
 
+def bad_count(least: int):
+    """What a count of at least `least` must reject: below(least) and fractions up to 99."""
+    return below(least) | st.floats(min_value=0.0, max_value=99.0).filter(lambda v: not v.is_integer())
+
+
 # (config class, field, values the field must reject)
 BAD_FIELDS = [
     (GreedyConfig, "xi", not_positive),
     (GreedyConfig, "delta", not_unit_interval),
-    (GreedyConfig, "max_epochs", below(1)),
+    (GreedyConfig, "max_epochs", bad_count(1)),
     (GreedyConfig, "p", st.sampled_from([np.nan, -np.inf, 0.0, 1.0, 3.0])),
     (PenaltyConfig, "c", not_positive),
     (PenaltyConfig, "kappa", negative),
     (PenaltyConfig, "delta", not_unit_interval),
-    (PenaltyConfig, "batch_size", below(1)),
-    (PenaltyConfig, "max_iters", below(1)),
-    (PenaltyConfig, "min_iters", below(0) | st.integers(min_value=101)),  # max_iters is 100
-    (InnerAttackConfig, "steps", below(1)),
+    (PenaltyConfig, "batch_size", bad_count(1)),
+    (PenaltyConfig, "max_iters", bad_count(1)),
+    (PenaltyConfig, "min_iters", bad_count(0) | st.integers(min_value=101)),  # max_iters is 100
+    (InnerAttackConfig, "steps", bad_count(1)),
     (InnerAttackConfig, "init_norm", not_positive),
     (InnerAttackConfig, "gamma", not_positive | st.floats(min_value=1.0)),
 ]
@@ -58,6 +65,16 @@ def test_config_rejects_non_finite_and_out_of_range(cls, name, bad, data):
     value = data.draw(bad)
     with pytest.raises(InvalidInputError):
         cls(**{name: value})
+
+
+COUNT_FIELDS = [(GreedyConfig, "max_epochs"), (PenaltyConfig, "batch_size"), (PenaltyConfig, "max_iters"),
+                (PenaltyConfig, "min_iters"), (InnerAttackConfig, "steps")]
+
+
+@pytest.mark.parametrize("cls,name", COUNT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in COUNT_FIELDS])
+def test_config_keeps_a_whole_float_count_as_an_int(cls, name):
+    value = getattr(cls(**{name: 3.0}), name)
+    assert value == 3 and type(value) is int
 
 
 def test_penalty_projection_rejects_non_finite_radius():
@@ -87,7 +104,7 @@ _TINY = generate_synthetic_dataset(2, 2, 256, seed=0)
 @pytest.mark.parametrize("name", ["epochs", "batch_size", "lr"])
 @given(data=st.data())
 def test_train_rejects_non_finite_and_out_of_range(name, data):
-    bad = {"epochs": below(0), "batch_size": below(1), "lr": not_positive}[name]
+    bad = {"epochs": bad_count(0), "batch_size": bad_count(1), "lr": not_positive}[name]
     model = build_victim("linear", 256, 2, seed=0)
     before = model.parameter_vector().copy()
     kwargs = {"epochs": 1, name: data.draw(bad)}
@@ -96,13 +113,24 @@ def test_train_rejects_non_finite_and_out_of_range(name, data):
     np.testing.assert_array_equal(model.parameter_vector(), before)
 
 
+def test_train_runs_whole_float_counts_as_ints():
+    a, b = build_victim("linear", 256, 2, seed=0), build_victim("linear", 256, 2, seed=0)
+    assert train(a, _TINY, epochs=2.0, batch_size=3.0) == train(b, _TINY, epochs=2, batch_size=3)
+    assert a.parameter_vector().tobytes() == b.parameter_vector().tobytes()
+
+
 @pytest.mark.parametrize("name,bad", [("val_per_class", -1), ("test_per_class", -1),
                                       ("test_per_class", np.nan), ("sample_rate", 0),
                                       ("sample_rate", -16000), ("sample_rate", np.nan),
-                                      ("sample_rate", 2**31)])
+                                      ("sample_rate", 2**31), ("sample_rate", 16000.5)])
 def test_generation_rejects_negative_counts_and_rates(name, bad):
     with pytest.raises(InvalidInputError):
         generate_synthetic_dataset(2, 2, 256, seed=0, **{name: bad})
+
+
+def test_generation_keeps_a_whole_float_rate_as_an_int(tmp_path):
+    save_dataset_dir(generate_synthetic_dataset(2, 2, 256, seed=0, sample_rate=8000.0), tmp_path / "d")
+    assert load_dataset_dir(tmp_path / "d").sample_rate == 8000
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -126,6 +126,18 @@ class TestAudioSample:
         s = AudioSample(np.full(12, 0.5), sample_rate=8000)
         assert len(s) == 12 and s.sample_rate == 8000
 
+    @pytest.mark.parametrize("rate", [0, -16000, np.nan, np.inf, 2**31, 16000.5])
+    def test_rejects_a_rate_no_wav_header_holds(self, rate):
+        # a WAV header stores a whole rate, and rate * 2 bytes as uint32
+        with pytest.raises(InvalidInputError, match="sample rate"):
+            AudioSample(np.full(4, 0.5), sample_rate=rate)
+
+    def test_whole_float_rate_is_kept_as_an_int(self, tmp_path):
+        s = AudioSample(np.full(4, 0.5), sample_rate=np.float64(2**31 - 1))
+        assert s.sample_rate == 2**31 - 1 and type(s.sample_rate) is int
+        save_wav(s, tmp_path / "a.wav")
+        assert load_wav(tmp_path / "a.wav").sample_rate == 2**31 - 1
+
 
 def _write_pcm(path, pcm, rate=16000, channels=1, width=2):
     with wave.open(str(path), "wb") as fh:
@@ -171,6 +183,16 @@ class TestWavIO:
             fh.setframerate(16000)
             fh.writeframes(b"\x80\x80")
         with pytest.raises(FormatError):
+            load_wav(f)
+
+    @pytest.mark.parametrize("rate", [0, 2**31, 2**32 - 1])
+    def test_rejects_a_header_rate_out_of_range(self, tmp_path, rate):
+        f = tmp_path / "rate.wav"
+        _write_pcm(f, [0, 100])
+        raw = bytearray(f.read_bytes())
+        raw[24:28] = rate.to_bytes(4, "little")  # the fmt chunk's sample rate field
+        f.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="sample rate"):
             load_wav(f)
 
     def test_rejects_garbage(self, tmp_path):

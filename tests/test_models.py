@@ -20,8 +20,18 @@ from uapaudio import (
 )
 from uapaudio.models import Conv1D, MaxPool1D, ReLU, cross_entropy_grad, softmax
 from uapaudio.optim import AdamState, adam_update, seeded_batches
+from uapaudio.penalty import _objective
+from uapaudio.tanhspace import to_tanh_space
 
-from oracles import conv_input_grad_per_tap, linear_victim_from_params, maxpool_first_max, relu_before_pool
+from oracles import (
+    conv_forward_tensordot,
+    conv_input_grad_per_tap,
+    conv_param_grads_tensordot,
+    linear_victim_from_params,
+    maxpool_first_max,
+    relu_before_pool,
+    use_tensordot_conv,
+)
 
 
 class TestLinearClosedForm:
@@ -240,6 +250,80 @@ class TestConvInputGradient:
             Conv1D(np.zeros((2, kernel, 1)), np.zeros(2), stride=stride)
 
 
+class TestConvParams:
+    """Conv1D's forward and parameter gradients over one im2col copy, against np.tensordot over the windows."""
+
+    @pytest.mark.parametrize("dim", [1024, 4096])
+    @pytest.mark.parametrize("batch", [1, 25, 32, 100])
+    @pytest.mark.parametrize("arch, index", [("rand-cnn", 0), ("gamma-cnn", 0), ("rand-cnn", 3)],
+                             ids=["rand-conv1", "gamma-conv1", "conv2"])
+    def test_byte_identical_to_tensordot(self, arch, index, batch, dim):
+        model = build_victim(arch, dim, 3, seed=batch)
+        layer = model.layers[index]
+        rng = np.random.default_rng(batch + dim)
+        layer.bias = rng.standard_normal(layer.bias.shape)  # the registry starts biases at 0
+        length = dim if index == 0 else model.layers[0].out_length(dim) // 4
+        x = rng.uniform(-1, 1, (batch, length, layer.weight.shape[2]))
+        dy = rng.standard_normal((batch, layer.out_length(length), layer.weight.shape[0]))
+        y, cache = layer.forward(x)
+        _, grads = layer.backward(cache, dy, want_params=True, want_input=False)
+        ref_y, (_, windows) = conv_forward_tensordot(layer, x)
+        ref = conv_param_grads_tensordot(windows, dy)
+        assert y.tobytes() == ref_y.tobytes()
+        assert grads["weight"].tobytes() == ref["weight"].tobytes()
+        assert grads["bias"].tobytes() == ref["bias"].tobytes()
+
+    @pytest.mark.parametrize("arch", ["rand-cnn", "gamma-cnn"])
+    def test_training_is_byte_identical_with_the_tensordot_oracle(self, arch, monkeypatch):
+        ds = generate_synthetic_dataset(3, 20, 1024, seed=7, test_per_class=2)
+        fast = build_victim(arch, 1024, 3, seed=7)
+        train(fast, ds, epochs=2, seed=7)
+        use_tensordot_conv(monkeypatch)
+        slow = build_victim(arch, 1024, 3, seed=7)
+        train(slow, ds, epochs=2, seed=7)
+        assert slow.parameter_vector().tobytes() == fast.parameter_vector().tobytes()
+
+
+class TestConvCacheMemory:
+    """Caching conv1's im2col copy costs at most one such copy over the tensordot oracle's peak."""
+
+    @staticmethod
+    def _peak_bytes(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def _check(self, model, call, monkeypatch):
+        conv1 = model.layers[0]
+        im2col_bytes = 32 * conv1.out_length(model.input_dim) * conv1.weight.shape[1] * 8
+        peak = self._peak_bytes(call)
+        use_tensordot_conv(monkeypatch)
+        assert peak <= self._peak_bytes(call) + im2col_bytes
+
+    @pytest.mark.parametrize("arch", ["rand-cnn", "gamma-cnn"])
+    def test_training_step(self, arch, monkeypatch):
+        model = build_victim(arch, 4096, 3, seed=0)
+        x = np.random.default_rng(0).uniform(0, 1, (32, 4096))
+
+        def step():
+            logits, caches = model.forward_cached(x)
+            model.backward_params(caches, cross_entropy_grad(logits, np.arange(32) % 3) / 32)
+
+        self._check(model, step, monkeypatch)
+
+    @pytest.mark.parametrize("arch", ["rand-cnn", "gamma-cnn"])
+    def test_penalty_objective(self, arch, monkeypatch):
+        # 100 rows run as four blocks; each block's caches go before the next block's forward
+        model = build_victim(arch, 4096, 3, seed=0)
+        x_tanh = to_tanh_space(np.random.default_rng(0).uniform(0, 1, (100, 4096)))
+        refs = np.arange(100) % 3
+        self._check(model, lambda: _objective(model, x_tanh, np.zeros(4096), refs, 0.2, 0.0, "untargeted"),
+                    monkeypatch)
+
+
 class TestMaxPool:
     @pytest.mark.parametrize("batch", [1, 100])
     @pytest.mark.parametrize("width", [2, 3, 4])
@@ -259,6 +343,18 @@ class TestMaxPool:
         assert y.tobytes() == y_ref.tobytes()
         assert dx.tobytes() == dx_ref.tobytes()
         assert not dx[:, (x.shape[1] // width) * width:, :].any()
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran"])
+    def test_non_contiguous_dy(self, layout):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((7, 127, 5))
+        wide = rng.standard_normal((7, 31, 10))
+        dy = wide[:, :, ::2] if layout == "strided" else np.asfortranarray(wide[:, :, :5])
+        assert not dy.flags.c_contiguous
+        pool = MaxPool1D(4)
+        _, cache = pool.forward(x)
+        dx, _ = pool.backward(cache, dy, want_params=False)
+        assert dx.tobytes() == maxpool_first_max(x, 4, dy)[1].tobytes()
 
 
 class TestInputGradient:
