@@ -1,11 +1,11 @@
-"""Single-file artifact container: magic, canonical JSON manifest, f32 blobs.
+"""Single-file artifact container: magic, canonical JSON manifest, float64 blobs.
 
 Both model checkpoints and perturbation files use this layout:
 
-    bytes 0..8    magic b"UAPC0001"
+    bytes 0..8    magic b"UAPC0002", the format version (format 1's float32 blobs are refused)
     bytes 8..12   manifest length (uint32, little endian)
     ...           manifest JSON (UTF-8, sorted keys, no whitespace)
-    ...           named blobs, concatenated little-endian float32
+    ...           named blobs, concatenated little-endian float64: the arrays as computed
 
 The manifest's "blobs" entry records each blob's name and shape in storage
 order, so files are bit-reproducible from the same arrays and manifest.
@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import FormatError
 
-MAGIC = b"UAPC0001"
+MAGIC = b"UAPC0002"
 
 
 def fmt_float(x: float) -> str:
@@ -63,11 +63,13 @@ def write_container(path: str | Path, manifest: dict, blobs: dict[str, np.ndarra
         fh.write(len(payload).to_bytes(4, "little"))
         fh.write(payload)
         for arr in blobs.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     data = Path(path).read_bytes()
+    if data[: len(MAGIC)] == b"UAPC0001":
+        raise FormatError(f"{path} is a format-1 (float32) container; this version reads format 2 only")
     if len(data) < len(MAGIC) + 4 or data[: len(MAGIC)] != MAGIC:
         raise FormatError(f"not an artifact container: {path}")
     length = int.from_bytes(data[len(MAGIC) : len(MAGIC) + 4], "little")
@@ -87,15 +89,14 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             raise FormatError(f"malformed blob entry {entry!r} in {path}")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
-        chunk = data[offset : offset + 4 * count]
-        if len(chunk) != 4 * count:
+        chunk = data[offset : offset + 8 * count]
+        if len(chunk) != 8 * count:
             raise FormatError(f"truncated blob {entry['name']!r} in {path}")
-        flat = np.frombuffer(chunk, dtype="<f4")
+        flat = np.frombuffer(chunk, dtype="<f8")
         if not np.isfinite(flat).all():
             raise FormatError(f"non-finite values in blob {entry['name']!r} in {path}")
-        # parameters are stored f32 but all computation is float64
         blobs[entry["name"]] = flat.astype(np.float64).reshape(shape)
-        offset += 4 * count
+        offset += 8 * count
     if offset != len(data):
         raise FormatError(f"trailing bytes in container: {path}")
     return manifest, blobs

@@ -151,6 +151,10 @@ def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
             and type(num_classes) is int and num_classes >= 2):
         raise FormatError(f"dataset manifest in {in_dir} needs integer dim >= 1, num_classes >= 2 "
                           "and sample_rate >= 1")
+    try:
+        _check_sample_rate(sample_rate)
+    except InvalidInputError as exc:
+        raise FormatError(f"dataset manifest in {in_dir}: {exc}") from exc
     header, rows = read_csv(root / "labels.csv")
     if header != ["filename", "label", "split"]:
         raise FormatError("labels.csv must have columns filename,label,split")

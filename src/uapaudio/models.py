@@ -10,8 +10,8 @@ Layer forwards are pure functions returning (output, cache); backward consumes
 the cache, so one immutable model serves concurrent forward/gradient calls.
 A Conv1D cache holds the input shape and the im2col matrix, one contiguous copy
 of the input windows, which the forward and the weight gradient both multiply.
-All arithmetic is float64. Parameters are kept exactly float32-representable,
-so checkpoints (JSON manifest + little-endian f32 blob) round-trip bit-exactly.
+All arithmetic is float64, and checkpoints store the float64 parameters, so a
+loaded model is the model that was saved, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,15 +23,10 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .audio import DEFAULT_SAMPLE_RATE, _whole
+from .audio import DEFAULT_SAMPLE_RATE, _check_sample_rate, _whole
 from .container import read_container, write_container
 from .exceptions import FormatError, InvalidInputError
 from .optim import AdamState, adam_update, seeded_batches
-
-
-def _f32_exact(a: np.ndarray) -> np.ndarray:
-    # round once to float32 values so in-memory params equal their checkpoint
-    return a.astype("<f4").astype(np.float64)
 
 
 class _Layer:
@@ -323,7 +318,7 @@ def cross_entropy_grad(logits: np.ndarray, labels) -> np.ndarray:
 
 
 def _he_init(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
-    return _f32_exact(rng.standard_normal(shape) * np.sqrt(2.0 / fan_in))
+    return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
 
 def _bandpass_filterbank(filters: int, kernel: int, sample_rate: int) -> np.ndarray:
@@ -333,7 +328,7 @@ def _bandpass_filterbank(filters: int, kernel: int, sample_rate: int) -> np.ndar
     window = np.hamming(kernel)
     bank = np.stack([window * np.sin(2.0 * np.pi * fc * n) for fc in centers])
     bank /= np.linalg.norm(bank, axis=1, keepdims=True)
-    return _f32_exact(bank[:, :, None])  # (filters, kernel, 1)
+    return bank[:, :, None]  # (filters, kernel, 1)
 
 
 def _build_cnn(input_dim: int, num_classes: int, seed: int, sample_rate: int, gamma_front: bool) -> list:
@@ -361,7 +356,7 @@ def _build_cnn(input_dim: int, num_classes: int, seed: int, sample_rate: int, ga
 
 def _build_linear(input_dim: int, num_classes: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
-    return [Flatten(), Dense(_f32_exact(rng.standard_normal((input_dim, num_classes)) / np.sqrt(input_dim)),
+    return [Flatten(), Dense(rng.standard_normal((input_dim, num_classes)) / np.sqrt(input_dim),
                              np.zeros(num_classes))]
 
 
@@ -392,7 +387,6 @@ def save_model(model: VictimModel, path: str | Path) -> None:
         raise InvalidInputError(f"cannot save architecture {model.arch!r}; choose from {ARCHITECTURES}")
     manifest = {
         "kind": "victim-model",
-        "format": 1,
         "arch": model.arch,
         "input_dim": model.input_dim,
         "num_classes": model.num_classes,
@@ -431,8 +425,8 @@ def load_model(path: str | Path) -> VictimModel:
             raise FormatError(f"model checkpoint {path}: its layers store {stored} weights, too few for "
                               f"input_dim {input_dim} and num_classes {num_classes}")
         try:
-            model = build_victim(arch, input_dim, num_classes, sample_rate=sample_rate)
-        except (InvalidInputError, OverflowError) as exc:  # OverflowError: a sample_rate past float range
+            model = build_victim(arch, input_dim, num_classes, sample_rate=_check_sample_rate(sample_rate))
+        except InvalidInputError as exc:
             raise FormatError(f"model checkpoint {path}: cannot rebuild its layers: {exc}") from exc
         # JSON text tells 8 from 8.0 and 1 from true, which == on the parsed values does not
         specs = [layer.spec() for layer in model.layers]

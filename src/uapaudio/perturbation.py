@@ -1,9 +1,9 @@
 """Universal perturbation artifact and its single-file format.
 
 The artifact carries the signal-space vector (always) and, for the penalty
-method, the tanh-space carrier it was optimized in. Saved manifests record
-norms and SPL of the stored (float32-rounded) signal vector, so a loaded file
-re-saves byte-identically.
+method, the tanh-space carrier it was optimized in. A file stores the carrier
+if there is one, else the signal vector. A load renders the signal vector from
+the carrier, and the manifest's norms and SPL describe what a load returns.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .audio import spl
 from .container import read_container, write_container
 from .exceptions import FormatError, InvalidInputError
-from .tanhspace import TANH_EPSILON
+from .tanhspace import TANH_EPSILON, render_signal_v
 
 
 @dataclass
@@ -69,14 +69,12 @@ def _decode_p(p) -> float | None:
 
 
 def save_perturbation(pert: Perturbation, path: str | Path) -> None:
-    # round to storage precision first so recorded norms match the stored blob
-    v = pert.v_signal.astype("<f4").astype(np.float64)
-    blobs = {"v_signal": v}
-    if pert.v_tanh is not None:
-        blobs["v_tanh"] = pert.v_tanh.astype("<f4").astype(np.float64)
+    if pert.v_tanh is None:
+        v, blobs = pert.v_signal, {"v_signal": pert.v_signal}
+    else:  # the signal vector a load renders
+        v, blobs = render_signal_v(pert.v_tanh), {"v_tanh": pert.v_tanh}
     manifest = {
         "kind": "perturbation",
-        "format": 1,
         "method": pert.method,
         "mode": pert.mode,
         "target": pert.target,
@@ -111,12 +109,13 @@ def load_perturbation(path: str | Path) -> Perturbation:
     if params.get("epsilon", TANH_EPSILON) != TANH_EPSILON:
         raise FormatError(f"perturbation file {path}: params epsilon must be {TANH_EPSILON}, "
                           f"got {params['epsilon']!r}")
+    v_tanh = blobs.get("v_tanh")
     try:
         return Perturbation(
-            v_signal=blobs["v_signal"],
+            v_signal=blobs["v_signal"] if v_tanh is None else render_signal_v(v_tanh),
             method=manifest["method"],
             mode=manifest["mode"],
-            v_tanh=blobs.get("v_tanh"),
+            v_tanh=v_tanh,
             target=target,
             p=_decode_p(manifest.get("p")),
             xi=xi,

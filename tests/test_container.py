@@ -21,6 +21,7 @@ from uapaudio.container import (
     write_container,
     write_csv,
 )
+from uapaudio.tanhspace import render_signal_v
 
 
 class TestFmtFloat:
@@ -77,9 +78,8 @@ class TestContainer:
         manifest, loaded = read_container(f)
         assert manifest["kind"] == "test" and manifest["n"] == 7
         for name, arr in blobs.items():
-            assert loaded[name].shape == arr.shape
-            # storage is float32
-            np.testing.assert_array_equal(loaded[name], arr.astype("<f4").astype(np.float64))
+            assert loaded[name].dtype == np.float64 and loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.tobytes()
 
     def test_rewrite_is_byte_identical(self, tmp_path, rng):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -93,6 +93,13 @@ class TestContainer:
         f = tmp_path / "bad.bin"
         f.write_bytes(b"NOTMAGIC" + b"\x00" * 8)
         with pytest.raises(FormatError):
+            read_container(f)
+
+    def test_format_1_is_refused_by_name(self, tmp_path):
+        f = tmp_path / "old.bin"
+        payload = canonical_json({"blobs": [{"name": "v", "shape": [2]}]})
+        f.write_bytes(b"UAPC0001" + len(payload).to_bytes(4, "little") + payload + np.zeros(2, "<f4").tobytes())
+        with pytest.raises(FormatError, match="format-1"):
             read_container(f)
 
     def test_truncated_blob(self, tmp_path):
@@ -130,7 +137,7 @@ class TestContainer:
     def test_malformed_manifest_is_format_error(self, manifest, tmp_path):
         f = tmp_path / "t.bin"
         payload = canonical_json(manifest) if isinstance(manifest, dict) else b'["not","an","object"]'
-        f.write_bytes(MAGIC + len(payload).to_bytes(4, "little") + payload + np.zeros(4, "<f4").tobytes())
+        f.write_bytes(MAGIC + len(payload).to_bytes(4, "little") + payload + np.zeros(4, "<f8").tobytes())
         with pytest.raises(FormatError):
             read_container(f)
 
@@ -180,10 +187,9 @@ class TestPerturbation:
         assert loaded.xi == 1.5 and loaded.p == 2.0
         assert loaded.train_asr == 0.75
         assert loaded.params == {"c": 0.2, "kappa": 5.0}
-        np.testing.assert_array_equal(
-            loaded.v_signal, pert.v_signal.astype("<f4").astype(np.float64))
-        np.testing.assert_array_equal(
-            loaded.v_tanh, pert.v_tanh.astype("<f4").astype(np.float64))
+        # the file keeps the tanh-space carrier; the signal vector is its rendering
+        assert loaded.v_tanh.tobytes() == pert.v_tanh.tobytes()
+        assert loaded.v_signal.tobytes() == render_signal_v(pert.v_tanh).tobytes()
 
     def test_inf_norm_round_trip(self, tmp_path, rng):
         f = tmp_path / "p.uapc"
@@ -201,6 +207,24 @@ class TestPerturbation:
         pert = self._make(rng, method="greedy", v_tanh=None, params={})
         save_perturbation(pert, f)
         assert load_perturbation(f).v_tanh is None
+
+    def test_penalty_file_has_no_signal_blob(self, tmp_path, rng):
+        f = tmp_path / "p.uapc"
+        pert = self._make(rng)
+        save_perturbation(pert, f)
+        manifest, blobs = read_container(f)
+        assert list(blobs) == ["v_tanh"]
+        rendered = render_signal_v(pert.v_tanh)
+        assert load_perturbation(f).v_signal.tobytes() == rendered.tobytes()
+        assert manifest["norms"] == {"l2": float(np.linalg.norm(rendered)), "linf": float(np.max(rendered))}
+
+    def test_greedy_linf_stays_within_xi(self, tmp_path):
+        # a vector clipped at xi records xi, not a rounding of it
+        f = tmp_path / "g.uapc"
+        save_perturbation(Perturbation(np.full(8, 0.2), "greedy", "untargeted", p=np.inf, xi=0.2), f)
+        manifest = read_container(f)[0]
+        assert manifest["norms"]["linf"] <= manifest["xi"] == 0.2
+        assert np.all(load_perturbation(f).v_signal == 0.2)
 
     @pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"1e999"])
     def test_non_finite_xi_is_format_error(self, token, tmp_path, rng):
@@ -220,12 +244,14 @@ class TestPerturbation:
         with pytest.raises(FormatError):
             load_perturbation(f)
 
-    @pytest.mark.parametrize("defect", ["no-method", "no-mode", "no-signal", "nan-signal", "inf-tanh",
-                                        "str-p", "str-target", "float-target", "bool-target",
+    @pytest.mark.parametrize("defect", ["no-method", "no-mode", "no-signal", "nan-signal", "no-tanh", "nan-tanh",
+                                        "inf-tanh", "str-p", "str-target", "float-target", "bool-target",
                                         "str-xi", "zero-xi", "negative-xi"])
     def test_malformed_file_is_format_error(self, defect, tmp_path, rng):
+        # a greedy file stores v_signal, a penalty file only v_tanh
         f = tmp_path / "p.uapc"
-        save_perturbation(self._make(rng), f)
+        greedy = defect.endswith("-signal")
+        save_perturbation(self._make(rng, method="greedy", v_tanh=None) if greedy else self._make(rng), f)
         manifest, blobs = read_container(f)
         if defect == "no-method":
             del manifest["method"]
@@ -235,6 +261,10 @@ class TestPerturbation:
             del blobs["v_signal"]
         elif defect == "nan-signal":
             blobs["v_signal"][3] = np.nan
+        elif defect == "no-tanh":
+            del blobs["v_tanh"]
+        elif defect == "nan-tanh":
+            blobs["v_tanh"][3] = np.nan
         elif defect == "str-p":
             manifest["p"] = "inx"
         elif defect.endswith("-target"):

@@ -196,6 +196,13 @@ class TestDirectoryRoundTrip:
         with pytest.raises(FormatError, match="sample rate 8000"):
             load_dataset_dir(tmp_path)
 
+    def test_manifest_rate_past_wav_range(self, tmp_path):
+        save_dataset_dir(generate_synthetic_dataset(2, 1, 256, seed=0, test_per_class=0), tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(manifest.read_text().replace('"sample_rate":16000', f'"sample_rate":{2**40}'))
+        with pytest.raises(FormatError, match=r"whole number in \[1, 2\*\*31\)"):
+            load_dataset_dir(tmp_path)
+
     def test_length_mismatch(self, tmp_path):
         ds = generate_synthetic_dataset(2, 1, 256, seed=0, test_per_class=0)
         save_dataset_dir(ds, tmp_path)

@@ -12,9 +12,13 @@ from uapaudio import (
     applied_perturbation,
     evaluate_uap,
     greedy_uap,
+    load_model,
+    load_perturbation,
     penalty_uap,
     report_summary,
     report_to_csv,
+    save_model,
+    save_perturbation,
     single_sample_attack,
     sweep_confidence,
     sweep_datacount,
@@ -161,6 +165,27 @@ class TestEvaluateUap:
         assert header == list(REPORT_COLUMNS)
         assert len(rows) == 4
         assert [float(r[3]) for r in rows] == [r.snr_db for r in report.rows]
+
+
+class TestSavedArtifacts:
+    def test_loaded_victim_and_penalty_file_reproduce_train_asr(self, victim, train_xy, tmp_path):
+        # points on the victim's decision boundaries, found by bisection, tell a
+        # loaded victim whose logits moved in their last bits from the trained one
+        x = train_xy[0]
+        edges = []
+        for a, b in [(x[0], x[70]), (x[0], x[150]), (x[70], x[150])]:
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if victim.predict((1 - mid) * a + mid * b) == victim.predict(a) else (lo, mid)
+            edges += [(1 - lo) * a + lo * b, (1 - hi) * a + hi * b]
+        crafting = np.vstack([x, edges])
+        craft = penalty_uap(victim, crafting, None, PenaltyConfig(c=10.0, max_iters=20, seed=0))
+        save_model(victim, tmp_path / "m.uapc")
+        save_perturbation(craft.perturbation, tmp_path / "p.uapc")
+        pert = load_perturbation(tmp_path / "p.uapc")
+        report = evaluate_uap(load_model(tmp_path / "m.uapc"), (crafting, None), pert)
+        assert report.test_asr == pert.train_asr == craft.perturbation.train_asr
 
 
 class TestUntargetedReference:

@@ -133,7 +133,7 @@ class TestContainers:
     @given(data=st.data(), value=st.sampled_from([np.nan, np.inf, -np.inf]))
     def test_non_finite_blob_is_rejected(self, originals, workdir, name, loader, data, value):
         manifest, payload = _split(originals[name])
-        floats = np.frombuffer(payload, dtype="<f4").copy()
+        floats = np.frombuffer(payload, dtype="<f8").copy()
         floats[data.draw(st.integers(0, floats.size - 1))] = value
         f = workdir / name
         f.write_bytes(_raw_container(manifest, floats.tobytes()))

@@ -466,14 +466,20 @@ class TestTraining:
 
 
 class TestCheckpoints:
-    @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_round_trip_preserves_logits(self, arch, tmp_path, rng):
+    # trained parameters use every bit of their float64 values, which the file must keep
+    @pytest.mark.parametrize("arch, epochs", [
+        *(pytest.param(arch, 0, id=arch) for arch in ARCHITECTURES),
+        *(pytest.param(arch, 2, id=f"{arch}-trained") for arch in ARCHITECTURES),
+    ])
+    def test_round_trip_preserves_logits(self, arch, epochs, tmp_path, rng):
         model = build_victim(arch, 1024, 3, seed=4)
+        train(model, generate_synthetic_dataset(3, 10, 1024, seed=4, test_per_class=2), epochs=epochs, seed=4)
         f = tmp_path / "m.uapc"
         save_model(model, f)
         loaded = load_model(f)
         assert loaded.arch == arch and loaded.input_dim == 1024
-        x = rng.uniform(0, 1, 1024)
+        assert loaded.parameter_vector().tobytes() == model.parameter_vector().tobytes()
+        x = rng.uniform(0, 1, (3, 1024))
         np.testing.assert_array_equal(loaded.logits(x), model.logits(x))
 
     def test_resave_byte_identical(self, tmp_path):
@@ -530,6 +536,7 @@ class TestCheckpoints:
         "input-dim-huge": ("linear", {"input_dim": 2**61}),
         "classes-huge": ("rand-cnn", {"num_classes": 2**61}),
         "rate-huge": ("gamma-cnn", {"sample_rate": 10**400}),
+        "rate-past-wav": ("rand-cnn", {"sample_rate": 2**40}),  # no WAV header can carry it
     }
 
     @pytest.mark.parametrize("defect", ["no-layers", "layers-not-list", "no-weight", "nan-weight", "inf-bias",
