@@ -8,8 +8,8 @@ Registry architectures:
 
 Layer forwards are pure functions returning (output, cache); backward consumes
 the cache, so one immutable model serves concurrent forward/gradient calls.
-A Conv1D cache holds the input shape and the im2col matrix, one contiguous copy
-of the input windows, which the forward and the weight gradient both multiply.
+A Conv1D forward above batch 1 multiplies views of its input; its cache holds
+a strided view of the windows, which the weight gradient copies once.
 All arithmetic is float64, and checkpoints store the float64 parameters, so a
 loaded model is the model that was saved, bit for bit.
 """
@@ -21,7 +21,6 @@ from itertools import islice
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .audio import DEFAULT_SAMPLE_RATE, _check_sample_rate, _whole
 from .container import read_container, write_container
@@ -51,7 +50,7 @@ class _Layer:
 class Conv1D(_Layer):
     """1-D convolution over (batch, length, channels) -> (batch, out, filters).
 
-    The stride must divide the kernel (see backward).
+    The stride must divide the kernel (see forward and backward).
     """
 
     KIND, FIELDS, PARAMS = "conv1d", ("stride", "frozen"), ("weight", "bias")
@@ -75,16 +74,33 @@ class Conv1D(_Layer):
             raise InvalidInputError("input shorter than convolution kernel")
         x = np.ascontiguousarray(x)
         sb, sl, sc = x.strides
-        # im2col: one contiguous copy of the windows, the operand np.tensordot would hand BLAS
-        cols = as_strided(x, (batch, n_out, kernel, chans), (sb, self.stride * sl, sl, sc))
-        cols = cols.reshape(batch * n_out, kernel * chans)
-        y = cols @ self.weight.transpose(1, 2, 0).reshape(kernel * chans, filters)
-        y += self.bias
-        return y.reshape(batch, n_out, filters), (x.shape, cols)
+        s, phases = self.stride, kernel // self.stride
+        # a view of the windows: np.ndarray checks its extent in x and costs a fifth of as_strided
+        windows = np.ndarray((batch, n_out, kernel, chans), x.dtype, x, 0, (sb, s * sl, sl, sc))
+        # C-contiguous: OpenBLAS then rounds a row alike in all GEMMs of 2+ rows (1 row goes to GEMV)
+        w = np.ascontiguousarray(self.weight.transpose(1, 2, 0)).reshape(kernel * chans, filters)
+        if batch == 1:  # one GEMM (matmul copies the overlapping windows) costs less than one per phase
+            cols = windows.reshape(n_out, kernel * chans)
+            y = (cols if n_out > 1 else np.repeat(cols, 2, axis=0)) @ w
+            y += self.bias
+            return y[None, :n_out], (x.shape, windows)
+        # output t = i*phases + q reads frames from i*kernel + q*s: the windows of phase q abut,
+        # so they are a reshape of a slice of x, and one stacked GEMM fills phase q's slots of y
+        y = np.empty((batch, -(-n_out // phases), phases * filters))
+        for q in range(phases):
+            n_q = (n_out - 1 - q) // phases + 1
+            a = x[:, q * s : q * s + n_q * kernel].reshape(batch, n_q, kernel * chans)
+            out = y[:, :n_q, q * filters : (q + 1) * filters]
+            if n_q < batch:  # the GEMM rows run along the longer axis
+                a, out = a.transpose(1, 0, 2), out.transpose(1, 0, 2)
+            np.matmul(a, w, out=out)
+        y.reshape(batch, -1, filters)[:, n_out:] = 0.0  # slots past the last output, which the bias add reads
+        y += np.tile(self.bias, phases)
+        return y.reshape(batch, -1, filters)[:, :n_out], (x.shape, windows)
 
     def backward(self, cache: tuple, dy: np.ndarray, want_params: bool,
                  want_input: bool = True) -> tuple[np.ndarray | None, dict | None]:
-        (batch, length, chans), cols = cache
+        (batch, length, chans), windows = cache
         filters, kernel, _ = self.weight.shape
         n_out = dy.shape[1]
         dx = None
@@ -102,7 +118,8 @@ class Conv1D(_Layer):
                 frames[:, j : j + n_out, :] += (rows @ weight[:, j, :]).reshape(batch, n_out, s * chans)
         grads = None
         if want_params:
-            # the forward's im2col rows serve again; einsum gives dy.sum(axis=(0, 1))'s bytes, faster
+            # the reshape copies the windows to im2col rows; einsum gives dy.sum(axis=(0, 1))'s bytes, faster
+            cols = windows.reshape(batch * n_out, kernel * chans)
             dw = np.ascontiguousarray(dy.transpose(2, 0, 1)).reshape(filters, -1) @ cols
             grads = {"weight": dw.reshape(self.weight.shape), "bias": np.einsum("btf->f", dy)}
         return dx, grads
@@ -186,8 +203,7 @@ class Dense(_Layer):
 
 
 # Most rows per block in VictimModel.logits and the penalty objective: a 32-row
-# block's conv1 im2col copy (4 MB at d=4096, held in the conv cache until the
-# block's backward) and activations stay in cache.
+# block's activations (conv1's output is 1 MB at d=4096) stay in cache.
 _ROW_BLOCK = 32
 
 
@@ -253,13 +269,12 @@ class VictimModel:
 
         A batch of more than _ROW_BLOCK rows runs the layers before the first
         Flatten on equal blocks of at most _ROW_BLOCK rows, so their batch-wide
-        temporaries (conv1's im2col copy above all) stay small. Blocks are
-        equal, not full blocks and a remainder, because conv2's GEMM rounds
-        differently when a block gives it few rows (up to 9 rows at d=1024,
-        1 row at d=4096). Flatten and the head run once on the whole batch,
-        because OpenBLAS rounds a Dense GEMM differently at many row counts
-        (its edge tiles), blocks of 17 to 32 rows included. Up to _ROW_BLOCK
-        rows it calls forward_cached, which costs less per batch-1 call (DDN).
+        temporaries (conv1's output above all) stay small. A conv row has the
+        same bits in a block of any size, so any split would do. Flatten and
+        the head run once on the whole batch, because OpenBLAS rounds a Dense
+        GEMM differently at many row counts (its edge tiles), blocks of 17 to
+        32 rows included. Up to _ROW_BLOCK rows it calls forward_cached, which
+        costs less per batch-1 call (DDN).
         """
         batch, single = self._as_batch(x)
         if batch.shape[0] <= _ROW_BLOCK:
@@ -478,7 +493,7 @@ def train(model: VictimModel, dataset, epochs: int = 20, *, lr: float = 1e-3,
         logits, caches = model.forward_cached(x_train[batch])
         dlogits = cross_entropy_grad(logits, y_train[batch]) / batch.size
         grads = model.backward_params(caches, dlogits)
-        del caches  # the next step's forward runs without this step's im2col rows
+        del caches  # the next step's forward runs without this step's activations
         for i, layer_grads in enumerate(grads):
             if not layer_grads:
                 continue

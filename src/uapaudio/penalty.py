@@ -128,7 +128,7 @@ def _objective(model: VictimModel, x_tanh: np.ndarray, v: np.ndarray, refs: np.n
         values, dlogits = _hinge_batch(logits, refs_block, kappa, mode)
         hinges.append(values)
         hinge_grads.append(model.backward_input(caches, dlogits))  # (block, d)
-        del caches  # the next block's forward runs without this block's im2col rows
+        del caches  # the next block's forward runs without this block's activations
     # d(w)/d(v') = sech^2(x'+v')/2 = 2w(1-w); plain sum over the batch
     chain = 2.0 * w * (1.0 - w)
     grad = len(refs) * _spl_gradient(v) + c * np.sum(np.concatenate(hinge_grads) * chain, axis=0)
