@@ -85,7 +85,7 @@ def _write_run_manifest(artifact: Path, command: str, args: argparse.Namespace,
         "args": recorded,
         "versions": {"uapaudio": __version__, "numpy": np.__version__,
                      "python": platform.python_version(), "blas": _blas_version()},
-        # BLAS may split a sum between threads, so a run repeats exactly only at its thread count
+        # desk training gives the same bytes at 1 and 2 BLAS threads; the rest of a run was not checked
         "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
     }
     if extra:

@@ -8,8 +8,10 @@ Registry architectures:
 
 Layer forwards are pure functions returning (output, cache); backward consumes
 the cache, so one immutable model serves concurrent forward/gradient calls.
-A Conv1D forward above batch 1 multiplies views of its input; its cache holds
-a strided view of the windows, which the weight gradient copies once.
+Conv1D's forward above batch 1 and its weight gradient multiply views of the
+input, one per stride phase, so they copy no windows; its cache is the
+contiguous input. The weight gradient adds small products in a fixed order,
+so its bits do not depend on the BLAS thread count.
 All arithmetic is float64, and checkpoints store the float64 parameters, so a
 loaded model is the model that was saved, bit for bit.
 """
@@ -47,6 +49,11 @@ class _Layer:
         return {name: getattr(self, name) for name in self.PARAMS}
 
 
+# OpenBLAS (at its default GEMM_MULTITHREAD_THRESHOLD) runs a GEMM of fewer than
+# 2 * 2**18 multiply-adds on one thread, whatever its thread count
+_ONE_THREAD_GEMM = 2**18
+
+
 class Conv1D(_Layer):
     """1-D convolution over (batch, length, channels) -> (batch, out, filters).
 
@@ -66,41 +73,51 @@ class Conv1D(_Layer):
     def out_length(self, length: int) -> int:
         return (length - self.weight.shape[1]) // self.stride + 1
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def _phases(self, x: np.ndarray, n_out: int) -> list[np.ndarray]:
+        """The windows of each stride phase, as (batch, windows, kernel*chans) views of contiguous x.
+
+        Output t = i*phases + q reads frames from i*kernel + q*stride: the windows
+        of phase q abut, so they are a reshape of a slice of x.
+        """
+        batch, _, chans = x.shape
+        kernel = self.weight.shape[1]
+        s, phases = self.stride, kernel // self.stride
+        n = [(n_out - 1 - q) // phases + 1 for q in range(phases)]  # windows per phase
+        return [x[:, q * s : q * s + n[q] * kernel].reshape(batch, n[q], kernel * chans)
+                for q in range(phases)]
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         batch, length, chans = x.shape
         filters, kernel, _ = self.weight.shape
         n_out = (length - kernel) // self.stride + 1
         if n_out < 1:
             raise InvalidInputError("input shorter than convolution kernel")
         x = np.ascontiguousarray(x)
-        sb, sl, sc = x.strides
-        s, phases = self.stride, kernel // self.stride
-        # a view of the windows: np.ndarray checks its extent in x and costs a fifth of as_strided
-        windows = np.ndarray((batch, n_out, kernel, chans), x.dtype, x, 0, (sb, s * sl, sl, sc))
         # C-contiguous: OpenBLAS then rounds a row alike in all GEMMs of 2+ rows (1 row goes to GEMV)
         w = np.ascontiguousarray(self.weight.transpose(1, 2, 0)).reshape(kernel * chans, filters)
         if batch == 1:  # one GEMM (matmul copies the overlapping windows) costs less than one per phase
-            cols = windows.reshape(n_out, kernel * chans)
+            # a view of the windows: np.ndarray checks its extent in x and costs a fifth of as_strided
+            step = x.itemsize
+            cols = np.ndarray((n_out, kernel * chans), x.dtype, x, 0, (self.stride * chans * step, step))
             y = (cols if n_out > 1 else np.repeat(cols, 2, axis=0)) @ w
             y += self.bias
-            return y[None, :n_out], (x.shape, windows)
-        # output t = i*phases + q reads frames from i*kernel + q*s: the windows of phase q abut,
-        # so they are a reshape of a slice of x, and one stacked GEMM fills phase q's slots of y
+            return y[None, :n_out], x
+        # one stacked GEMM fills phase q's slots of y
+        phases = kernel // self.stride
         y = np.empty((batch, -(-n_out // phases), phases * filters))
-        for q in range(phases):
-            n_q = (n_out - 1 - q) // phases + 1
-            a = x[:, q * s : q * s + n_q * kernel].reshape(batch, n_q, kernel * chans)
-            out = y[:, :n_q, q * filters : (q + 1) * filters]
-            if n_q < batch:  # the GEMM rows run along the longer axis
+        for q, a in enumerate(self._phases(x, n_out)):
+            out = y[:, : a.shape[1], q * filters : (q + 1) * filters]
+            if a.shape[1] < batch:  # the GEMM rows run along the longer axis
                 a, out = a.transpose(1, 0, 2), out.transpose(1, 0, 2)
             np.matmul(a, w, out=out)
         y.reshape(batch, -1, filters)[:, n_out:] = 0.0  # slots past the last output, which the bias add reads
         y += np.tile(self.bias, phases)
-        return y.reshape(batch, -1, filters)[:, :n_out], (x.shape, windows)
+        return y.reshape(batch, -1, filters)[:, :n_out], x
 
-    def backward(self, cache: tuple, dy: np.ndarray, want_params: bool,
+    def backward(self, cache: np.ndarray, dy: np.ndarray, want_params: bool,
                  want_input: bool = True) -> tuple[np.ndarray | None, dict | None]:
-        (batch, length, chans), windows = cache
+        x = cache  # the contiguous input
+        batch, length, chans = x.shape
         filters, kernel, _ = self.weight.shape
         n_out = dy.shape[1]
         dx = None
@@ -118,10 +135,26 @@ class Conv1D(_Layer):
                 frames[:, j : j + n_out, :] += (rows @ weight[:, j, :]).reshape(batch, n_out, s * chans)
         grads = None
         if want_params:
-            # the reshape copies the windows to im2col rows; einsum gives dy.sum(axis=(0, 1))'s bytes, faster
-            cols = windows.reshape(batch * n_out, kernel * chans)
-            dw = np.ascontiguousarray(dy.transpose(2, 0, 1)).reshape(filters, -1) @ cols
-            grads = {"weight": dw.reshape(self.weight.shape), "bias": np.einsum("btf->f", dy)}
+            # the weight gradient sums dy_q[b, i]^T a_q[b, i] over each phase's windows a_q (see
+            # _phases). Per phase, a stacked GEMM along the shorter of batch and windows gives one
+            # product per row, summed over the longer axis in spans that OpenBLAS runs on one
+            # thread; np.sum then adds the products in order, so no sum depends on the thread count
+            views = self._phases(x, n_out)
+            span = max(1, _ONE_THREAD_GEMM // (filters * kernel * chans))
+            pairs = []
+            for q, a in enumerate(views):
+                d = dy[:, q :: len(views), :]
+                if a.shape[1] < batch:  # the GEMMs sum along the longer axis, as the forward's rows run
+                    a, d = a.transpose(1, 0, 2), d.transpose(1, 0, 2)
+                pairs += [(d[:, i : i + span].transpose(0, 2, 1), a[:, i : i + span])
+                          for i in range(0, a.shape[1], span)]
+            prods = np.empty((sum(len(a) for _, a in pairs), filters, kernel * chans))
+            start = 0
+            for d, a in pairs:
+                np.matmul(d, a, out=prods[start : start + len(a)])
+                start += len(a)
+            # einsum gives dy.sum(axis=(0, 1))'s bytes, faster
+            grads = {"weight": prods.sum(axis=0).reshape(self.weight.shape), "bias": np.einsum("btf->f", dy)}
         return dx, grads
 
 

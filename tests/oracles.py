@@ -3,7 +3,7 @@
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from uapaudio.models import Conv1D, Dense, Flatten, MaxPool1D, ReLU, VictimModel
+from uapaudio.models import _ONE_THREAD_GEMM, Conv1D, Dense, Flatten, MaxPool1D, ReLU, VictimModel
 
 
 def linear_victim_from_params(weight: np.ndarray, bias: np.ndarray) -> VictimModel:
@@ -33,23 +33,54 @@ def conv_input_grad_per_tap(weight: np.ndarray, stride: int, dy: np.ndarray,
     return dx
 
 
-def conv_forward_tensordot(layer: Conv1D, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Conv1D forward by np.tensordot over a strided view of the windows; the cache holds the view."""
+def conv_windows(layer: Conv1D, x: np.ndarray) -> np.ndarray:
+    """The (batch, out, kernel, chans) windows of a Conv1D layer over contiguous x, as a strided view."""
     batch, length, chans = x.shape
-    kernel = layer.weight.shape[1]
-    x = np.ascontiguousarray(x)
     sb, sl, sc = x.strides
-    windows = as_strided(x, (batch, layer.out_length(length), kernel, chans), (sb, layer.stride * sl, sl, sc))
-    return np.tensordot(windows, layer.weight, axes=([2, 3], [1, 2])) + layer.bias, (x.shape, windows)
+    return as_strided(x, (batch, layer.out_length(length), layer.weight.shape[1], chans),
+                      (sb, layer.stride * sl, sl, sc))
 
 
-def conv_param_grads_tensordot(windows: np.ndarray, dy: np.ndarray) -> dict:
+def conv_forward_tensordot(layer: Conv1D, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conv1D forward by np.tensordot over the windows; the cache is the contiguous input, as Conv1D's."""
+    x = np.ascontiguousarray(x)
+    return np.tensordot(conv_windows(layer, x), layer.weight, axes=([2, 3], [1, 2])) + layer.bias, x
+
+
+def conv_param_grads_tensordot(layer: Conv1D, x: np.ndarray, dy: np.ndarray) -> dict:
     """Conv1D weight gradient by np.tensordot over the windows, and bias gradient by a sum over rows."""
-    return {"weight": np.tensordot(dy, windows, axes=([0, 1], [0, 1])), "bias": dy.sum(axis=(0, 1))}
+    weight = np.tensordot(dy, conv_windows(layer, x), axes=([0, 1], [0, 1]))
+    return {"weight": weight, "bias": dy.sum(axis=(0, 1))}
 
 
-def use_tensordot_conv(monkeypatch) -> None:
-    """Patch Conv1D to run conv_forward_tensordot and conv_param_grads_tensordot.
+def conv_param_grads_by_phase(layer: Conv1D, x: np.ndarray, dy: np.ndarray) -> dict:
+    """Conv1D parameter gradients, the weight's summed in Conv1D's fixed order by plain loops.
+
+    Stride phase q holds outputs q, q + P, q + 2P, ... (P = kernel / stride).
+    For each phase in turn, the longer of its batch and output axes is cut
+    into blocks of at most `span` rows; for each block, and each row of the
+    shorter axis, one product dy^T @ windows sums over the block, and the
+    products are added one after another.
+    """
+    batch, _, chans = x.shape
+    filters, kernel, _ = layer.weight.shape
+    n_out, phases = dy.shape[1], kernel // layer.stride
+    span = max(1, _ONE_THREAD_GEMM // (filters * kernel * chans))
+    windows = conv_windows(layer, x).reshape(batch, n_out, kernel * chans)
+    total = None
+    for q in range(phases):
+        a, d = windows[:, q::phases], dy[:, q::phases]
+        if a.shape[1] < batch:  # rows along the outputs, blocks along the batch
+            a, d = a.transpose(1, 0, 2), d.transpose(1, 0, 2)
+        for start in range(0, a.shape[1], span):
+            for row in range(a.shape[0]):
+                part = d[row, start : start + span].T @ a[row, start : start + span]
+                total = part if total is None else total + part
+    return {"weight": total.reshape(layer.weight.shape), "bias": dy.sum(axis=(0, 1))}
+
+
+def use_tensordot_conv(monkeypatch, param_grads=conv_param_grads_tensordot) -> None:
+    """Patch Conv1D to run conv_forward_tensordot, and param_grads(layer, x, dy) for its parameter gradients.
 
     The input gradient is still Conv1D.backward's own, which reads only the
     input shape from the cache.
@@ -58,7 +89,7 @@ def use_tensordot_conv(monkeypatch) -> None:
 
     def backward(layer, cache, dy, want_params, want_input=True):
         dx, _ = original(layer, cache, dy, want_params=False, want_input=want_input)
-        return dx, conv_param_grads_tensordot(cache[1], dy) if want_params else None
+        return dx, param_grads(layer, cache, dy) if want_params else None
 
     monkeypatch.setattr(Conv1D, "forward", conv_forward_tensordot)
     monkeypatch.setattr(Conv1D, "backward", backward)
