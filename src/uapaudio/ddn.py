@@ -32,17 +32,32 @@ def check_mode(mode: str, target: int | None, num_classes: int | None = None) ->
         raise InvalidInputError(f"target class {target!r} is not a class of this {num_classes}-class victim")
 
 
-def fooled(preds, mode: str, target: int | None = None, reference=None):
-    """Attack success of perturbed predictions, elementwise.
+def attack_set(model: VictimModel, x: np.ndarray, y: np.ndarray | None, mode: str,
+               target: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The samples as a float64 batch, and each sample's reference class.
 
-    Targeted: the prediction is the target class. Untargeted: it differs from
-    reference, the class (or per-sample classes) the attack has to escape.
+    Rejects an empty batch, values outside [0, 1], labels y (None allowed)
+    that do not line up with the samples, and a bad mode or target. The
+    reference is the target (targeted) or the victim's clean prediction
+    (untargeted).
     """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    _check_samples(x)
+    if y is not None and np.shape(y) != (len(x),):
+        raise InvalidInputError("labels must align with samples")
+    check_mode(mode, target, model.num_classes)
     if mode == "targeted":
-        if target is None:
-            raise InvalidInputError("targeted attack needs a target class")
-        return preds == target
-    return preds != reference
+        return x, np.full(len(x), target)
+    return x, model.predict(x)
+
+
+def fooled(preds, mode: str, refs):
+    """Attack success of perturbed predictions against reference classes, elementwise.
+
+    Targeted: the prediction is the reference (the target). Untargeted: it
+    differs from the reference, the class the attack has to escape.
+    """
+    return preds == refs if mode == "targeted" else preds != refs
 
 
 @dataclass
@@ -98,7 +113,7 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
     for k in range(cfg.steps + 1):
         point = np.clip(x + delta, 0.0, 1.0)
         logits, caches = model.forward_cached(point)
-        is_adv = fooled(int(np.argmax(logits[0])), mode, reference_class, reference_class)
+        is_adv = fooled(int(np.argmax(logits[0])), mode, reference_class)
         if is_adv:
             norm = float(np.linalg.norm(delta))
             if norm < best_norm:

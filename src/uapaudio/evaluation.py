@@ -16,9 +16,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .audio import _check_samples, _whole, rel_loudness, snr
+from .audio import _whole, rel_loudness, snr
 from .container import fmt_float, write_csv
-from .ddn import check_mode, fooled
+from .ddn import attack_set, fooled
 from .exceptions import DegenerateVarianceError, InvalidInputError, UndefinedMetricError
 from .greedy import GreedyConfig, greedy_uap
 from .models import VictimModel
@@ -82,20 +82,14 @@ def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
     """Score a crafted perturbation against a model on an evaluation set.
 
     testset is an (X, y) pair. Success is judged on predictions alone: the
-    labels y only have to line up with X (they stay in the report rows'
-    implicit order and are not consulted otherwise).
+    labels y (None allowed) only have to be a 1-D array with one entry per
+    row of X (they stay in the report rows' implicit order and are not
+    consulted otherwise).
     """
     x, y = testset
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] == 0:
-        raise InvalidInputError("empty evaluation set")
-    if y is not None and len(y) != x.shape[0]:
-        raise InvalidInputError("labels must align with samples")
-    _check_samples(x)
-    check_mode(pert.mode, pert.target, model.num_classes)
-
+    x, refs = attack_set(model, x, y, pert.mode, pert.target)
     applied = applied_perturbation(x, pert)
-    clean_preds = model.predict(x)
+    clean_preds = refs if pert.mode == "untargeted" else model.predict(x)
     adv_preds = model.predict(x + applied)
 
     rows = []
@@ -112,7 +106,7 @@ def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
     finite_l = l_dbs[np.isfinite(l_dbs)]
     return EvalReport(
         mode=pert.mode, method=pert.method, train_asr=pert.train_asr,
-        test_asr=float(np.mean(fooled(adv_preds, pert.mode, pert.target, clean_preds))),
+        test_asr=float(np.mean(fooled(adv_preds, pert.mode, refs))),
         mean_snr_db=float(np.mean(snrs)),
         mean_l_db=float(np.mean(finite_l)) if finite_l.size else float("nan"),
         rows=rows,

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import _check_samples, _whole
-from .ddn import InnerAttackConfig, check_mode, ddn_minimal_perturbation, fooled
+from .audio import _whole
+from .ddn import InnerAttackConfig, attack_set, check_mode, ddn_minimal_perturbation, fooled
 from .exceptions import InvalidInputError
 from .models import VictimModel
 from .perturbation import Perturbation
@@ -67,46 +67,30 @@ def project_lp(v: np.ndarray, p: float, xi: float) -> np.ndarray:
     raise InvalidInputError("norm order must be 2 or inf")
 
 
-def asr(model: VictimModel, x: np.ndarray, v: np.ndarray, mode: str,
-        target: int | None = None, reference: np.ndarray | None = None) -> float:
-    """Attack success rate of additive perturbation v over samples x.
-
-    Perturbed inputs are clipped to [0, 1] before prediction. The untargeted
-    reference defaults to the model's clean predictions.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] == 0:
-        raise InvalidInputError("empty sample set")
-    preds = model.predict(np.clip(x + v, 0.0, 1.0))
-    if mode != "targeted" and reference is None:
-        reference = model.predict(x)
-    return float(np.mean(fooled(preds, mode, target, reference)))
+def asr(model: VictimModel, inputs: np.ndarray, mode: str, refs: np.ndarray) -> float:
+    """Attack success rate of the victim on already perturbed inputs, judged
+    against each row's reference class (see ddn.fooled)."""
+    return float(np.mean(fooled(model.predict(inputs), mode, refs)))
 
 
 def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyResult:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] == 0:
-        raise InvalidInputError("empty crafting set")
-    _check_samples(x)
-    check_mode(cfg.mode, cfg.target, model.num_classes)
+    x, refs = attack_set(model, x, None, cfg.mode, cfg.target)
     m, d = x.shape
 
-    clean_preds = np.atleast_1d(model.predict(x))
     rng = np.random.default_rng(cfg.seed)
     v = np.zeros(d)
-    trace = [asr(model, x, v, cfg.mode, cfg.target, reference=clean_preds)]
+    trace = [asr(model, np.clip(x + v, 0.0, 1.0), cfg.mode, refs)]
     inner_calls = 0
 
     while trace[-1] < 1.0 - cfg.delta and len(trace) <= cfg.max_epochs:
         for i in rng.permutation(m):
             point = np.clip(x[i] + v, 0.0, 1.0)
-            if fooled(int(model.predict(point)), cfg.mode, cfg.target, clean_preds[i]):
+            if fooled(int(model.predict(point)), cfg.mode, refs[i]):
                 continue
-            reference = cfg.target if cfg.mode == "targeted" else int(clean_preds[i])
-            result = ddn_minimal_perturbation(model, point, cfg.inner, cfg.mode, reference)
+            result = ddn_minimal_perturbation(model, point, cfg.inner, cfg.mode, int(refs[i]))
             inner_calls += 1
             v = project_lp(v + result.delta, cfg.p, cfg.xi)
-        trace.append(asr(model, x, v, cfg.mode, cfg.target, reference=clean_preds))
+        trace.append(asr(model, np.clip(x + v, 0.0, 1.0), cfg.mode, refs))
 
     pert = Perturbation(
         v_signal=v, method="greedy", mode=cfg.mode, target=cfg.target,

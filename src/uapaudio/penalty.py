@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import POWER_FLOOR, _whole, rms_power, spl
-from .ddn import check_mode, fooled
+from .ddn import attack_set, check_mode
 from .exceptions import InvalidInputError
-from .greedy import project_lp
+from .greedy import asr, project_lp
 from .models import _ROW_BLOCK, VictimModel
 from .optim import AdamState, adam_update, seeded_batches
 from .perturbation import Perturbation, _encode_p
@@ -135,10 +135,9 @@ def _objective(model: VictimModel, x_tanh: np.ndarray, v: np.ndarray, refs: np.n
     return spl(v), np.concatenate(hinges), grad
 
 
-def _asr_tanh(model: VictimModel, x_tanh: np.ndarray, v_tanh: np.ndarray,
-              clean: np.ndarray | None, mode: str, target: int | None) -> float:
-    preds = model.predict(perturbed_sample(x_tanh, v_tanh))
-    return float(np.mean(fooled(preds, mode, target, clean)))
+def _asr_tanh(model: VictimModel, x_tanh: np.ndarray, v_tanh: np.ndarray, mode: str,
+              refs: np.ndarray) -> float:
+    return asr(model, perturbed_sample(x_tanh, v_tanh), mode, refs)
 
 
 def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
@@ -151,16 +150,9 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
     labels y (None allowed) only have to line up with x; they are not
     consulted otherwise.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] == 0 or x.shape[1] == 0:
-        raise InvalidInputError("empty crafting set")
+    x, refs = attack_set(model, x, y, cfg.mode, cfg.target)
     m, d = x.shape
-    if y is not None and np.shape(y) != (m,):
-        raise InvalidInputError("labels must align with samples")
-    check_mode(cfg.mode, cfg.target, model.num_classes)
-
     x_tanh = to_tanh_space(x)
-    clean = model.predict(x) if cfg.mode == "untargeted" else None
     batches = seeded_batches(m, cfg.batch_size, np.random.default_rng(cfg.seed))
     adam = AdamState()
     v = np.zeros(d)
@@ -173,7 +165,7 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
     iteration = 0
 
     while True:
-        current = _asr_tanh(model, x_tanh, v, clean, cfg.mode, cfg.target)
+        current = _asr_tanh(model, x_tanh, v, cfg.mode, refs)
         asr_trace.append(current)
         if current >= best_asr:  # ties keep the latest (deepest) iterate
             best_asr, best_v = current, v
@@ -184,8 +176,7 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
             break
 
         batch = next(batches)
-        refs = np.full(batch.size, cfg.target) if cfg.mode == "targeted" else clean[batch]
-        spl_v, hinges, grad = _objective(model, x_tanh[batch], v, refs, cfg.c, cfg.kappa, cfg.mode)
+        spl_v, hinges, grad = _objective(model, x_tanh[batch], v, refs[batch], cfg.c, cfg.kappa, cfg.mode)
         records.append({
             "loss_min": float(np.min(spl_v + cfg.c * hinges)),
             "hinge_mean": float(np.mean(hinges)),

@@ -15,6 +15,7 @@ import numpy as np
 
 from .audio import spl
 from .container import read_container, write_container
+from .ddn import check_mode
 from .exceptions import FormatError, InvalidInputError
 from .tanhspace import TANH_EPSILON, render_signal_v
 
@@ -44,8 +45,7 @@ class Perturbation:
             self.v_tanh = vt
         if self.method not in ("greedy", "penalty"):
             raise InvalidInputError(f"unknown method {self.method!r}")
-        if self.mode not in ("untargeted", "targeted"):
-            raise InvalidInputError(f"unknown mode {self.mode!r}")
+        check_mode(self.mode, self.target)
 
     @property
     def dim(self) -> int:
@@ -125,3 +125,5 @@ def load_perturbation(path: str | Path) -> Perturbation:
         )
     except KeyError as exc:
         raise FormatError(f"perturbation file {path} has no entry {exc}") from exc
+    except InvalidInputError as exc:
+        raise FormatError(f"perturbation file {path}: {exc}") from exc

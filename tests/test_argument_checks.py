@@ -201,3 +201,17 @@ class TestTargetAgainstVictim:
         pert = Perturbation(np.zeros(256), method="greedy", mode="targeted", target=target)
         with pytest.raises(InvalidInputError, match="not a class"):
             evaluate_uap(build_victim("linear", 256, 3), (np.full((2, 256), 0.5), None), pert)
+
+
+@pytest.mark.parametrize("labels", [np.zeros(2, dtype=int), np.zeros((3, 1), dtype=int)], ids=["short", "column"])
+class TestLabelsAlignWithSamples:
+    """Labels, when given, are a 1-D array with one entry per sample."""
+
+    def test_penalty(self, labels):
+        with pytest.raises(InvalidInputError, match="labels must align"):
+            penalty_uap(_LINEAR, np.full((3, 256), 0.5), labels, PenaltyConfig())
+
+    def test_evaluate(self, labels):
+        pert = Perturbation(np.zeros(256), method="greedy", mode="untargeted")
+        with pytest.raises(InvalidInputError, match="labels must align"):
+            evaluate_uap(_LINEAR, (np.full((3, 256), 0.5), labels), pert)

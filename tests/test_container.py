@@ -246,7 +246,8 @@ class TestPerturbation:
 
     @pytest.mark.parametrize("defect", ["no-method", "no-mode", "no-signal", "nan-signal", "no-tanh", "nan-tanh",
                                         "inf-tanh", "str-p", "str-target", "float-target", "bool-target",
-                                        "str-xi", "zero-xi", "negative-xi"])
+                                        "str-xi", "zero-xi", "negative-xi", "bad-mode", "bad-method",
+                                        "targeted-no-target"])
     def test_malformed_file_is_format_error(self, defect, tmp_path, rng):
         # a greedy file stores v_signal, a penalty file only v_tanh
         f = tmp_path / "p.uapc"
@@ -267,6 +268,10 @@ class TestPerturbation:
             blobs["v_tanh"][3] = np.nan
         elif defect == "str-p":
             manifest["p"] = "inx"
+        elif defect.startswith("bad-"):
+            manifest[defect[4:]] = "foo"
+        elif defect == "targeted-no-target":
+            manifest["mode"], manifest["target"] = "targeted", None
         elif defect.endswith("-target"):
             manifest["target"] = {"str": "x", "float": 1.5, "bool": True}[defect[:-7]]
         elif defect.endswith("-xi"):

@@ -41,20 +41,16 @@ class TestConfigValidation:
 
 class TestSuccessPredicate:
     def test_scalar_predictions(self):
-        assert fooled(2, "targeted", target=2) and not fooled(1, "targeted", target=2)
-        assert fooled(1, "untargeted", reference=0) and not fooled(0, "untargeted", reference=0)
+        assert fooled(2, "targeted", 2) and not fooled(1, "targeted", 2)
+        assert fooled(1, "untargeted", 0) and not fooled(0, "untargeted", 0)
 
     def test_array_predictions(self):
         preds = np.array([0, 1, 2, 1])
-        np.testing.assert_array_equal(fooled(preds, "targeted", target=1), [False, True, False, True])
+        np.testing.assert_array_equal(fooled(preds, "targeted", np.full(4, 1)), [False, True, False, True])
         # untargeted: against one class or against per-sample classes
-        np.testing.assert_array_equal(fooled(preds, "untargeted", reference=1), [True, False, True, False])
-        np.testing.assert_array_equal(fooled(preds, "untargeted", reference=np.array([0, 0, 2, 2])),
+        np.testing.assert_array_equal(fooled(preds, "untargeted", 1), [True, False, True, False])
+        np.testing.assert_array_equal(fooled(preds, "untargeted", np.array([0, 0, 2, 2])),
                                       [False, True, False, True])
-
-    def test_targeted_needs_target(self):
-        with pytest.raises(InvalidInputError):
-            fooled(np.array([0, 1]), "targeted", reference=np.array([0, 1]))
 
     def test_mode_check(self):
         check_mode("untargeted", None)

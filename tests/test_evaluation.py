@@ -167,8 +167,18 @@ class TestEvaluateUap:
         assert [float(r[3]) for r in rows] == [r.snr_db for r in report.rows]
 
 
+def _craft(model, x, method, mode):
+    target = 1 if mode == "targeted" else None
+    if method == "greedy":
+        return greedy_uap(model, x, GreedyConfig(mode=mode, target=target, max_epochs=1, seed=0))
+    return penalty_uap(model, x, None, PenaltyConfig(mode=mode, target=target, c=10.0, max_iters=20, seed=0))
+
+
 class TestSavedArtifacts:
-    def test_loaded_victim_and_penalty_file_reproduce_train_asr(self, victim, train_xy, tmp_path):
+    @pytest.mark.parametrize("mode", ["untargeted", "targeted"])
+    @pytest.mark.parametrize("method", ["greedy", "penalty"])
+    def test_loaded_victim_and_perturbation_file_reproduce_train_asr(self, method, mode, victim, train_xy,
+                                                                     tmp_path):
         # points on the victim's decision boundaries, found by bisection, tell a
         # loaded victim whose logits moved in their last bits from the trained one
         x = train_xy[0]
@@ -180,12 +190,12 @@ class TestSavedArtifacts:
                 lo, hi = (mid, hi) if victim.predict((1 - mid) * a + mid * b) == victim.predict(a) else (lo, mid)
             edges += [(1 - lo) * a + lo * b, (1 - hi) * a + hi * b]
         crafting = np.vstack([x, edges])
-        craft = penalty_uap(victim, crafting, None, PenaltyConfig(c=10.0, max_iters=20, seed=0))
+        result = _craft(victim, crafting, method, mode)
         save_model(victim, tmp_path / "m.uapc")
-        save_perturbation(craft.perturbation, tmp_path / "p.uapc")
+        save_perturbation(result.perturbation, tmp_path / "p.uapc")
         pert = load_perturbation(tmp_path / "p.uapc")
         report = evaluate_uap(load_model(tmp_path / "m.uapc"), (crafting, None), pert)
-        assert report.test_asr == pert.train_asr == craft.perturbation.train_asr
+        assert report.test_asr == pert.train_asr == result.perturbation.train_asr
 
 
 class TestUntargetedReference:

@@ -26,7 +26,7 @@ from uapaudio import (
 from uapaudio.models import Conv1D, MaxPool1D, ReLU, cross_entropy_grad, softmax
 from uapaudio.optim import AdamState, adam_update, seeded_batches
 from uapaudio.penalty import _objective
-from uapaudio.tanhspace import to_tanh_space
+from uapaudio.tanhspace import perturbed_sample, to_tanh_space
 
 from oracles import (
     conv_forward_tensordot,
@@ -375,7 +375,23 @@ class TestConvCacheMemory:
         x_tanh = to_tanh_space(np.random.default_rng(0).uniform(0, 1, (100, 4096)))
         refs = np.arange(100) % 3
         v = np.zeros(4096)
-        self._check(lambda: _objective(model, x_tanh, v, refs, 0.2, 0.0, "untargeted"), monkeypatch)
+        w_block = perturbed_sample(x_tanh[:25], v)
+
+        def block():
+            logits, caches = model.forward_cached(w_block)
+            model.backward_input(caches, cross_entropy_grad(logits, refs[:25]))
+
+        # At most four batch-wide arrays live at once (w, the hinge gradients, their
+        # concatenation and the chain factor; NumPy reuses the temporaries of
+        # 2w(1-w) and of the product in place), and a block's forward and backward
+        # run beside at most two of them; a few length-d vectors come on top. Caches
+        # that outlive their block, as the last block's would through the sum, exceed
+        # this by one block's activations (1.5 MB).
+        batch = x_tanh.nbytes
+        bound = max(4 * batch, 2 * batch + self._peak_bytes(block)) + 8 * v.nbytes
+        objective = lambda: _objective(model, x_tanh, v, refs, 0.2, 0.0, "untargeted")  # noqa: E731
+        assert self._peak_bytes(objective) <= bound
+        self._check(objective, monkeypatch)
 
 
 class TestMaxPool:
