@@ -3,8 +3,10 @@
 
 Trains one victim per registered architecture on the same dataset, crafts a
 penalty perturbation against each, and scores every perturbation against
-every other victim. The resulting matrix is descriptive (toy victims say
-little about transfer between real networks) and is written as CSV.
+every other victim. Each source's line says whether its craft converged: a
+row whose source did not scores a perturbation that does not fool its own
+victim either. The resulting matrix is descriptive (toy victims say little
+about transfer between real networks) and is written as CSV.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ def main() -> None:
         models.append(model)
         perts.append(result.perturbation)
         print(f"{arch:10s} test acc {accuracy(model, *testset):.3f}  "
-              f"train asr {result.perturbation.train_asr:.3f}")
+              f"train asr {result.perturbation.train_asr:.3f}  "
+              f"converged {'yes' if result.converged else 'no'}")
 
     matrix = transfer_matrix(models, perts, testset)
     print("source \\ victim:", "  ".join(matrix.labels))

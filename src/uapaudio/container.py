@@ -28,9 +28,16 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[list[str]]) -> None:
-    """Write CSV with a fixed newline convention so output bytes are canonical."""
-    lines = [",".join(header)] + [",".join(row) for row in rows]
+def _cell(value) -> str:
+    """The one cell rule: a float (float64 too) as fmt_float, None empty, anything else as str."""
+    if value is None:
+        return ""
+    return fmt_float(value) if isinstance(value, float) else str(value)
+
+
+def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+    """Write CSV, each cell by _cell, with a fixed newline convention so output bytes are canonical."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import DEFAULT_SAMPLE_RATE, AudioSample, _check_sample_rate, load_wav, save_wav
-from .container import read_csv, write_csv
+from .container import canonical_json, read_csv, write_csv
 from .exceptions import FormatError, InvalidInputError
 
 SPLITS = ("train", "val", "test")
@@ -130,12 +130,11 @@ def save_dataset_dir(dataset: SyntheticDataset, out_dir: str | Path) -> None:
         for i, (x, label) in enumerate(zip(*dataset.arrays(name))):
             fname = f"{name}_{label:02d}_{i:05d}.wav"
             save_wav(AudioSample(x, dataset.sample_rate), out / fname)
-            rows.append([fname, str(label), name])
+            rows.append([fname, label, name])
     write_csv(out / "labels.csv", ["filename", "label", "split"], rows)
     manifest = {"kind": "dataset", "num_classes": dataset.num_classes, "dim": dataset.dim,
                 "sample_rate": dataset.sample_rate, "seed": dataset.seed}
-    (out / "manifest.json").write_bytes(
-        json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n")
+    (out / "manifest.json").write_bytes(canonical_json(manifest) + b"\n")
 
 
 def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:

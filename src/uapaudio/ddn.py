@@ -85,23 +85,12 @@ class InnerAttackResult:
 
 
 def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttackConfig,
-                             mode: str = "untargeted",
-                             reference_class: int | None = None) -> InnerAttackResult:
-    """Smallest-L2 additive perturbation flipping (or forcing) the prediction.
-
-    reference_class is the class to escape (untargeted) or reach (targeted,
-    where it is required); untargeted, it defaults to the model's prediction of x.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
+                             mode: str = "untargeted", target: int | None = None) -> InnerAttackResult:
+    """Smallest-L2 additive perturbation that fools the victim on the single sample x:
+    it escapes the victim's prediction of x (untargeted) or reaches target (targeted)."""
+    if np.ndim(x) != 1:
         raise InvalidInputError("inner attack expects a single sample")
-    _check_samples(x)
-    check_mode(mode, reference_class, model.num_classes)
-    if reference_class is None:
-        reference_class = int(model.predict(x))
-    elif reference_class not in range(model.num_classes):
-        raise InvalidInputError(f"reference class {reference_class!r} is not a class of this "
-                                f"{model.num_classes}-class victim")
+    (x,), (ref,) = attack_set(model, x, None, mode, target)
 
     delta = np.zeros_like(x)
     radius = cfg.init_norm
@@ -113,17 +102,17 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
     for k in range(cfg.steps + 1):
         point = np.clip(x + delta, 0.0, 1.0)
         logits, caches = model.forward_cached(point)
-        is_adv = fooled(int(np.argmax(logits[0])), mode, reference_class)
+        is_adv = fooled(int(np.argmax(logits[0])), mode, ref)
         if is_adv:
             norm = float(np.linalg.norm(delta))
             if norm < best_norm:
-                best, best_norm = delta.copy(), norm
+                best, best_norm = delta, norm
         if k == cfg.steps:
             break
 
         alpha = _STEP_END + 0.5 * (_STEP_START - _STEP_END) * (1.0 + np.cos(np.pi * k / cfg.steps))
         # cross-entropy gradient about the reference class at the current point
-        grad = model.backward_input(caches, cross_entropy_grad(logits, [reference_class]))[0]
+        grad = model.backward_input(caches, cross_entropy_grad(logits, [ref]))[0]
         gnorm = float(np.linalg.norm(grad))
         if gnorm > 0.0:
             step = (alpha / gnorm) * grad

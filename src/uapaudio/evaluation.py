@@ -17,7 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .audio import _whole, rel_loudness, snr
-from .container import fmt_float, write_csv
+from .container import write_csv
 from .ddn import attack_set, fooled
 from .exceptions import DegenerateVarianceError, InvalidInputError, UndefinedMetricError
 from .greedy import GreedyConfig, greedy_uap
@@ -114,8 +114,7 @@ def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
 
 
 def report_to_csv(report: EvalReport, path: str | Path) -> None:
-    rows = [[str(r.sample_id), str(r.clean_pred), str(r.perturbed_pred),
-             fmt_float(r.snr_db), fmt_float(r.l_db)] for r in report.rows]
+    rows = [[r.sample_id, r.clean_pred, r.perturbed_pred, r.snr_db, r.l_db] for r in report.rows]
     write_csv(path, list(REPORT_COLUMNS), rows)
 
 
@@ -157,13 +156,8 @@ def transfer_matrix(models: list[VictimModel], perts: list[Perturbation],
 
 
 def transfer_to_csv(matrix: TransferMatrix, path: str | Path) -> None:
-    rows = []
-    for i, name in enumerate(matrix.labels):
-        row = [name]
-        for j in range(len(matrix.labels)):
-            v = matrix.values[i, j]
-            row.append("" if not np.isfinite(v) else fmt_float(v))
-        rows.append(row)
+    rows = [[name, *(v if np.isfinite(v) else None for v in matrix.values[i])]
+            for i, name in enumerate(matrix.labels)]
     write_csv(path, ["source\\victim"] + matrix.labels, rows)
 
 
@@ -254,14 +248,7 @@ def sweep_to_csv(rows: list[dict], path: str | Path) -> None:
     if not rows:
         raise InvalidInputError("no sweep rows to write")
     columns = list(rows[0].keys())
-    body = []
-    for row in rows:
-        rendered = []
-        for col in columns:
-            v = row[col]
-            rendered.append(fmt_float(v) if isinstance(v, float) else str(v))
-        body.append(rendered)
-    write_csv(path, columns, body)
+    write_csv(path, columns, [[row[col] for col in columns] for row in rows])
 
 
 def single_sample_attack(model: VictimModel, x: np.ndarray, y: np.ndarray,

@@ -87,7 +87,7 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyRe
             point = np.clip(x[i] + v, 0.0, 1.0)
             if fooled(int(model.predict(point)), cfg.mode, refs[i]):
                 continue
-            result = ddn_minimal_perturbation(model, point, cfg.inner, cfg.mode, int(refs[i]))
+            result = ddn_minimal_perturbation(model, point, cfg.inner, cfg.mode, cfg.target)
             inner_calls += 1
             v = project_lp(v + result.delta, cfg.p, cfg.xi)
         trace.append(asr(model, np.clip(x + v, 0.0, 1.0), cfg.mode, refs))

@@ -48,6 +48,12 @@ class TestCsv:
         write_csv(f, ["h"], [["1"], ["2"]])
         assert f.read_bytes() == b"h\n1\n2\n"
 
+    def test_cell_rule(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_csv(f, ["none", "f64", "int", "i64", "str"],
+                  [[None, np.float64(0.1), 3, np.int64(-4), "x y"]])
+        assert f.read_bytes() == f"none,f64,int,i64,str\n,{fmt_float(0.1)},3,-4,x y\n".encode()
+
     def test_empty_rows(self, tmp_path):
         f = tmp_path / "t.csv"
         write_csv(f, ["only", "header"], [])

@@ -26,9 +26,9 @@ class TestConfigValidation:
         model, x, cfg = two_class_model(np.ones(8), 0.0), np.full(8, 0.5), InnerAttackConfig()
         with pytest.raises(InvalidInputError, match="target class"):
             ddn_minimal_perturbation(model, x, cfg, "targeted")
-        for reference in (2, -1):  # the model has classes 0 and 1
+        for target in (2, -1):  # the model has classes 0 and 1
             with pytest.raises(InvalidInputError, match="not a class"):
-                ddn_minimal_perturbation(model, x, cfg, "untargeted", reference)
+                ddn_minimal_perturbation(model, x, cfg, "targeted", target)
 
     def test_rejects_bad_samples(self, rng):
         model = two_class_model(rng.normal(size=8), 0.0)
