@@ -28,6 +28,12 @@ def _check_samples(x: np.ndarray) -> None:
         raise InvalidInputError("samples must be non-empty and lie in [0, 1]")
 
 
+def _check_labels(x, y) -> None:
+    """Reject labels that are not a 1-D array with one entry per sample of x."""
+    if np.shape(y) != (len(x),):
+        raise InvalidInputError("labels must align with samples")
+
+
 def _whole(value) -> bool:
     """Whether a count or rate is whole: not a fraction, NaN or inf. An int may lie past float range."""
     return isinstance(value, int) or float(value).is_integer()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import _check_samples, _whole
+from .audio import _check_labels, _check_samples, _whole
 from .exceptions import InvalidInputError
 from .models import VictimModel, cross_entropy_grad
 
@@ -43,8 +43,8 @@ def attack_set(model: VictimModel, x: np.ndarray, y: np.ndarray | None, mode: st
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     _check_samples(x)
-    if y is not None and np.shape(y) != (len(x),):
-        raise InvalidInputError("labels must align with samples")
+    if y is not None:
+        _check_labels(x, y)
     check_mode(mode, target, model.num_classes)
     if mode == "targeted":
         return x, np.full(len(x), target)

@@ -11,7 +11,8 @@ the cache, so one immutable model serves concurrent forward/gradient calls.
 Conv1D's forward above batch 1 and its weight gradient multiply views of the
 input, one per stride phase, so they copy no windows; its cache is the
 contiguous input. The weight gradient adds small products in a fixed order,
-so its bits do not depend on the BLAS thread count.
+so its bits do not depend on the BLAS thread count. Training runs frozen
+front layers once per call, and one Adam state covers every trained weight.
 All arithmetic is float64, and checkpoints store the float64 parameters, so a
 loaded model is the model that was saved, bit for bit.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import DEFAULT_SAMPLE_RATE, _check_sample_rate, _whole
+from .audio import DEFAULT_SAMPLE_RATE, _check_labels, _check_sample_rate, _whole
 from .container import read_container, write_container
 from .exceptions import FormatError, InvalidInputError
 from .optim import AdamState, adam_update, seeded_batches
@@ -235,8 +236,8 @@ class Dense(_Layer):
         return dx, grads
 
 
-# Most rows per block in VictimModel.logits and the penalty objective: a 32-row
-# block's activations (conv1's output is 1 MB at d=4096) stay in cache.
+# Most rows per block in VictimModel._front (logits, train) and the penalty objective:
+# a 32-row block's activations (conv1's output is 1 MB at d=4096) stay in cache.
 _ROW_BLOCK = 32
 
 
@@ -267,12 +268,29 @@ class VictimModel:
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         batch, _ = self._as_batch(x)
-        h = batch[:, :, None]  # (batch, length, 1)
-        caches = []
-        for layer in self.layers:
+        return self._forward(batch[:, :, None])  # (batch, length, 1)
+
+    def _forward(self, h: np.ndarray, start: int = 0) -> tuple[np.ndarray, list]:
+        """layers[start:] over activations h: the logits, and each layer's cache (None below start)."""
+        caches = [None] * start
+        for layer in self.layers[start:]:
             h, cache = layer.forward(h)
             caches.append(cache)
         return h, caches
+
+    def _front(self, batch: np.ndarray, stop: int) -> np.ndarray:
+        """layers[:stop] over a (rows, input_dim) batch, in equal blocks of at most _ROW_BLOCK rows.
+
+        Their temporaries (conv1's output above all) stay small, and a conv row
+        has the same bits in a block of any size.
+        """
+        blocks = []
+        for block in np.array_split(batch, -(-batch.shape[0] // _ROW_BLOCK)):
+            h = block[:, :, None]
+            for layer in self.layers[:stop]:
+                h, _ = layer.forward(h)
+            blocks.append(h)
+        return np.concatenate(blocks)
 
     def backward_input(self, caches: list, dlogits: np.ndarray) -> np.ndarray:
         dh = dlogits
@@ -301,13 +319,10 @@ class VictimModel:
         """The logits of forward_cached, float for float.
 
         A batch of more than _ROW_BLOCK rows runs the layers before the first
-        Flatten on equal blocks of at most _ROW_BLOCK rows, so their batch-wide
-        temporaries (conv1's output above all) stay small. A conv row has the
-        same bits in a block of any size, so any split would do. Flatten and
-        the head run once on the whole batch, because OpenBLAS rounds a Dense
-        GEMM differently at many row counts (its edge tiles), blocks of 17 to
-        32 rows included. Up to _ROW_BLOCK rows it calls forward_cached, which
-        costs less per batch-1 call (DDN).
+        Flatten through _front; Flatten and the head run once on the whole
+        batch, because OpenBLAS rounds a Dense GEMM differently at many row
+        counts (its edge tiles), blocks of 17 to 32 rows included. Up to
+        _ROW_BLOCK rows it calls forward_cached: less per batch-1 call (DDN).
         """
         batch, single = self._as_batch(x)
         if batch.shape[0] <= _ROW_BLOCK:
@@ -315,16 +330,7 @@ class VictimModel:
             return out[0] if single else out
         front = next((i for i, layer in enumerate(self.layers) if isinstance(layer, Flatten)),
                      len(self.layers))
-        blocks = []
-        for block in np.array_split(batch, -(-batch.shape[0] // _ROW_BLOCK)):
-            h = block[:, :, None]
-            for layer in self.layers[:front]:
-                h, _ = layer.forward(h)
-            blocks.append(h)
-        h = np.concatenate(blocks)
-        for layer in self.layers[front:]:
-            h, _ = layer.forward(h)
-        return h
+        return self._forward(self._front(batch, front), front)[0]
 
     def predict(self, x: np.ndarray) -> int | np.ndarray:
         out = self.logits(x)
@@ -498,6 +504,7 @@ def load_model(path: str | Path) -> VictimModel:
 
 
 def accuracy(model: VictimModel, x: np.ndarray, y: np.ndarray) -> float:
+    _check_labels(x, y)
     return float(np.mean(model.predict(x) == y))
 
 
@@ -505,8 +512,10 @@ def train(model: VictimModel, dataset, epochs: int = 20, *, lr: float = 1e-3,
           batch_size: int = 32, seed: int = 0) -> dict[str, float]:
     """Cross-entropy training with Adam; mutates the model in place.
 
-    Frozen layers are never updated. Returns {"train_accuracy": ...}, the
-    trained model's accuracy on the training split.
+    Frozen layers are never updated; those below the lowest trainable one run
+    once per call, through _front, and every step starts from their output.
+    One Adam state covers all trainable parameters. Returns
+    {"train_accuracy": ...}, the trained model's accuracy on the training split.
     """
     if not (0 <= epochs < np.inf and 1 <= batch_size < np.inf and _whole(epochs) and _whole(batch_size)):
         raise InvalidInputError("epochs must be a whole number >= 0 and batch size a whole number >= 1")
@@ -519,21 +528,21 @@ def train(model: VictimModel, dataset, epochs: int = 20, *, lr: float = 1e-3,
         raise InvalidInputError("empty training set")
     if y_train.min() < 0 or y_train.max() >= model.num_classes:
         raise InvalidInputError("labels out of range for this model")
-
-    states: dict[tuple[int, str], AdamState] = {}
-    steps = epochs * -(-n // batch_size)
+    x_train, _ = model._as_batch(x_train)
+    trainable = [i for i, layer in enumerate(model.layers) if layer.params() and not layer.frozen]
+    slots = [(i, name) for i in trainable for name in model.layers[i].PARAMS]
+    offsets = np.cumsum([getattr(model.layers[i], name).size for i, name in slots])[:-1]
+    # a prefix that holds no parameters (linear's Flatten) only reshapes: the steps run it, copying no split
+    start = trainable[0] if trainable and any(layer.params() for layer in model.layers[:trainable[0]]) else 0
+    features = model._front(x_train, start) if start else x_train[:, :, None]
+    state = AdamState(lr=lr)
+    steps = epochs * -(-n // batch_size) if slots else 0
     for batch in islice(seeded_batches(n, batch_size, np.random.default_rng(seed)), steps):
-        logits, caches = model.forward_cached(x_train[batch])
-        dlogits = cross_entropy_grad(logits, y_train[batch]) / batch.size
-        grads = model.backward_params(caches, dlogits)
+        logits, caches = model._forward(features[batch], start)
+        grads = model.backward_params(caches, cross_entropy_grad(logits, y_train[batch]) / batch.size)
         del caches  # the next step's forward runs without this step's activations
-        for i, layer_grads in enumerate(grads):
-            if not layer_grads:
-                continue
-            for pname, g in layer_grads.items():
-                key = (i, pname)
-                state = states.get(key, AdamState(lr=lr))
-                delta, states[key] = adam_update(state, g)
-                layer = model.layers[i]
-                setattr(layer, pname, layer.params()[pname] + delta)
+        delta, state = adam_update(state, np.concatenate([grads[i][name].ravel() for i, name in slots]))
+        for (i, name), step in zip(slots, np.split(delta, offsets)):
+            param = getattr(model.layers[i], name)
+            setattr(model.layers[i], name, param + step.reshape(param.shape))
     return {"train_accuracy": accuracy(model, x_train, y_train)}

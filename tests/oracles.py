@@ -1,9 +1,13 @@
 """Reference implementations for tests that need closed-form or first-principles answers."""
 
+from itertools import islice
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from uapaudio.models import _ONE_THREAD_GEMM, Conv1D, Dense, Flatten, MaxPool1D, ReLU, VictimModel
+from uapaudio.models import (_ONE_THREAD_GEMM, Conv1D, Dense, Flatten, MaxPool1D, ReLU, VictimModel,
+                             accuracy, cross_entropy_grad)
+from uapaudio.optim import AdamState, adam_update, seeded_batches
 
 
 def linear_victim_from_params(weight: np.ndarray, bias: np.ndarray) -> VictimModel:
@@ -111,6 +115,22 @@ def maxpool_first_max(x: np.ndarray, width: int, dy: np.ndarray) -> tuple[np.nda
     dx = np.zeros((batch, length, chans))
     dx[:, : n_out * width, :] = dwindows.reshape(batch, n_out * width, chans)
     return y, dx
+
+
+def train_per_parameter(model: VictimModel, dataset, epochs: int, *, lr: float = 1e-3,
+                        batch_size: int = 32, seed: int = 0) -> dict[str, float]:
+    """models.train's loop run plainly: every step a full forward of its batch rows, one Adam state per array."""
+    x_train, y_train = dataset.arrays("train")
+    n = x_train.shape[0]
+    states: dict[tuple[int, str], AdamState] = {}
+    for batch in islice(seeded_batches(n, batch_size, np.random.default_rng(seed)), epochs * -(-n // batch_size)):
+        logits, caches = model.forward_cached(x_train[batch])
+        grads = model.backward_params(caches, cross_entropy_grad(logits, y_train[batch]) / batch.size)
+        for i, layer_grads in enumerate(grads):
+            for name, g in (layer_grads or {}).items():
+                delta, states[i, name] = adam_update(states.get((i, name), AdamState(lr=lr)), g)
+                setattr(model.layers[i], name, getattr(model.layers[i], name) + delta)
+    return {"train_accuracy": accuracy(model, x_train, y_train)}
 
 
 def recover_vprime(w: np.ndarray, x_tanh: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from uapaudio import (
     InvalidInputError,
     PenaltyConfig,
     Perturbation,
+    accuracy,
     build_victim,
     ddn_minimal_perturbation,
     evaluate_uap,
@@ -203,7 +204,8 @@ class TestTargetAgainstVictim:
             evaluate_uap(build_victim("linear", 256, 3), (np.full((2, 256), 0.5), None), pert)
 
 
-@pytest.mark.parametrize("labels", [np.zeros(2, dtype=int), np.zeros((3, 1), dtype=int)], ids=["short", "column"])
+@pytest.mark.parametrize("labels", [np.zeros(1, dtype=int), np.zeros(2, dtype=int), np.zeros((3, 1), dtype=int)],
+                         ids=["one", "short", "column"])
 class TestLabelsAlignWithSamples:
     """Labels, when given, are a 1-D array with one entry per sample."""
 
@@ -215,3 +217,7 @@ class TestLabelsAlignWithSamples:
         pert = Perturbation(np.zeros(256), method="greedy", mode="untargeted")
         with pytest.raises(InvalidInputError, match="labels must align"):
             evaluate_uap(_LINEAR, (np.full((3, 256), 0.5), labels), pert)
+
+    def test_accuracy(self, labels):
+        with pytest.raises(InvalidInputError, match="labels must align"):
+            accuracy(_LINEAR, np.full((3, 256), 0.5), labels)

@@ -23,7 +23,7 @@ from uapaudio import (
     save_model,
     train,
 )
-from uapaudio.models import Conv1D, MaxPool1D, ReLU, cross_entropy_grad, softmax
+from uapaudio.models import Conv1D, Flatten, MaxPool1D, ReLU, cross_entropy_grad, softmax
 from uapaudio.optim import AdamState, adam_update, seeded_batches
 from uapaudio.penalty import _objective
 from uapaudio.tanhspace import perturbed_sample, to_tanh_space
@@ -36,6 +36,7 @@ from oracles import (
     linear_victim_from_params,
     maxpool_first_max,
     relu_before_pool,
+    train_per_parameter,
     use_tensordot_conv,
 )
 
@@ -512,6 +513,68 @@ class TestTraining:
         model = build_victim(arch, 1024, 3, seed=4)
         result = train(model, ds, epochs=2, batch_size=7, seed=4)
         assert result == {"train_accuracy": accuracy(model, *ds.arrays("train"))}
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    @pytest.mark.parametrize("batch_size", [7, 32])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_byte_identical_to_the_per_parameter_loop(self, arch, batch_size, epochs):
+        # 45 rows: a short last batch at either size, and a front pass of two blocks
+        ds = generate_synthetic_dataset(3, 15, 1024, seed=8, test_per_class=2)
+        fast, slow = build_victim(arch, 1024, 3, seed=8), build_victim(arch, 1024, 3, seed=8)
+        result = train(fast, ds, epochs=epochs, batch_size=batch_size, seed=8)
+        assert result == train_per_parameter(slow, ds, epochs, batch_size=batch_size, seed=8)
+        assert fast.parameter_vector().tobytes() == slow.parameter_vector().tobytes()
+
+    @staticmethod
+    def _forward_calls(monkeypatch, kind, arch, epochs) -> list[int]:
+        """Rows of each forward call that layer 0, of class kind, makes in 60-row training at batch 16."""
+        ds = generate_synthetic_dataset(3, 20, 1024, seed=9, test_per_class=2)
+        model = build_victim(arch, 1024, 3, seed=9)
+        original, rows = kind.forward, []
+
+        def spy(layer, x):
+            if layer is model.layers[0]:
+                rows.append(x.shape[0])
+            return original(layer, x)
+
+        monkeypatch.setattr(kind, "forward", spy)
+        train(model, ds, epochs=epochs, batch_size=16, seed=9)
+        return rows
+
+    def test_frozen_front_runs_once_per_call(self, monkeypatch):
+        # gamma-cnn's frozen conv1: the front pass and the closing accuracy, 30 rows a block each
+        for epochs in (1, 3):
+            assert self._forward_calls(monkeypatch, Conv1D, "gamma-cnn", epochs) == [30, 30, 30, 30]
+
+    def test_trained_first_layer_runs_in_every_step(self, monkeypatch):
+        # rand-cnn trains conv1, so it has no front pass: 4 steps an epoch, then the accuracy's blocks
+        for epochs in (1, 3):
+            rows = self._forward_calls(monkeypatch, Conv1D, "rand-cnn", epochs)
+            assert rows == [16, 16, 16, 12] * epochs + [30, 30]
+
+    def test_parameter_free_prefix_runs_in_every_step(self, monkeypatch):
+        # linear's Flatten is a free reshape: no front pass copies the split; the accuracy flattens it whole
+        assert self._forward_calls(monkeypatch, Flatten, "linear", 2) == [16, 16, 16, 12] * 2 + [60]
+
+    @pytest.mark.parametrize("dim", [512, 2048])
+    @pytest.mark.parametrize("epochs", [0, 1])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_split_of_another_length_is_rejected(self, arch, epochs, dim):
+        ds = generate_synthetic_dataset(3, 4, dim, seed=1, test_per_class=1)
+        model = build_victim(arch, 1024, 3, seed=1)
+        before = model.parameter_vector().tobytes()
+        with pytest.raises(InvalidInputError, match="expected input of length"):
+            train(model, ds, epochs=epochs)
+        assert model.parameter_vector().tobytes() == before
+
+    def test_model_without_trainable_layers_is_left_unchanged(self):
+        ds = generate_synthetic_dataset(3, 10, 1024, seed=3, test_per_class=2)
+        model = build_victim("gamma-cnn", 1024, 3, seed=3)
+        for layer in model.layers:
+            layer.frozen = True
+        before = model.parameter_vector().tobytes()
+        assert train(model, ds, epochs=2, seed=3) == {"train_accuracy": accuracy(model, *ds.arrays("train"))}
+        assert model.parameter_vector().tobytes() == before
 
     def test_gamma_front_end_stays_frozen(self):
         ds = generate_synthetic_dataset(2, 20, 1024, seed=2, test_per_class=5)
