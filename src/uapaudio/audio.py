@@ -39,6 +39,13 @@ def _whole(value) -> bool:
     return isinstance(value, int) or float(value).is_integer()
 
 
+def _count(value, least: int, name: str) -> int:
+    """A count as an int: a whole number >= least; a whole float such as 3.0 passes."""
+    if not (least <= value < np.inf and _whole(value)):
+        raise InvalidInputError(f"{name} {value} must be a whole number >= {least}")
+    return int(value)
+
+
 def _check_sample_rate(rate) -> int:
     """The rate as an int; a WAV header stores rate * 2 bytes as uint32, so it must lie in [1, 2**31)."""
     if not (1 <= rate < 2**31 and _whole(rate)):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import DEFAULT_SAMPLE_RATE, AudioSample, _check_sample_rate, load_wav, save_wav
+from .audio import DEFAULT_SAMPLE_RATE, AudioSample, _check_sample_rate, _count, load_wav, save_wav
 from .container import canonical_json, read_csv, write_csv
 from .exceptions import FormatError, InvalidInputError
 
@@ -79,30 +79,23 @@ def class_template(dim: int, lo: float, hi: float, tone_amplitude: float) -> np.
 
 def generate_synthetic_dataset(num_classes: int, per_class: int, dim: int,
                                noise_level: float = 0.05, seed: int = 0, *,
-                               tone_amplitude: float = TONE_AMPLITUDE,
                                val_per_class: int = 0, test_per_class: int | None = None,
                                sample_rate: int = DEFAULT_SAMPLE_RATE) -> SyntheticDataset:
     """Build a dataset with per_class training samples per class.
 
-    Each class is a fixed in-band AM tone; samples of the class differ only in
-    their uniform noise. Test split defaults to per_class // 2 samples per
+    Each class is a fixed in-band AM tone (peak TONE_AMPLITUDE); its samples differ
+    only in their uniform noise. Test split defaults to per_class // 2 samples per
     class; validation is empty unless requested. Deterministic given the seed.
     """
-    if num_classes < 2:
-        raise InvalidInputError("need at least 2 classes")
-    if per_class < 1:
-        raise InvalidInputError("need at least one training sample per class")
-    if not 0.0 <= noise_level < 1.0:
-        raise InvalidInputError("noise level must lie in [0, 1)")
-    if not 0.0 < tone_amplitude <= 1.0 - noise_level:
-        raise InvalidInputError("tone amplitude must lie in (0, 1 - noise_level]")
-    if test_per_class is None:
-        test_per_class = per_class // 2
-    if not (0 <= val_per_class < np.inf and 0 <= test_per_class < np.inf):
-        raise InvalidInputError("validation and test counts must be >= 0")
+    num_classes, per_class = _count(num_classes, 2, "class count"), _count(per_class, 1, "per-class count")
+    dim, val_per_class = _count(dim, 1, "dimension"), _count(val_per_class, 0, "validation count")
+    test_per_class = _count(per_class // 2 if test_per_class is None else test_per_class, 0, "test count")
+    # the tone plus noise must stay in [-1, 1]
+    if not 0.0 <= noise_level <= 1.0 - TONE_AMPLITUDE:
+        raise InvalidInputError(f"noise level {noise_level} must lie in [0, {1.0 - TONE_AMPLITUDE:g}]")
     sample_rate = _check_sample_rate(sample_rate)
     edges = band_edges(num_classes, dim)
-    templates = [class_template(dim, edges[k], edges[k + 1], tone_amplitude)
+    templates = [class_template(dim, edges[k], edges[k + 1], TONE_AMPLITUDE)
                  for k in range(num_classes)]
     rng = np.random.default_rng(seed)
     counts = {"train": per_class, "val": val_per_class, "test": test_per_class}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import _check_labels, _check_samples, _whole
+from .audio import _check_labels, _check_samples, _count
 from .exceptions import InvalidInputError
 from .models import VictimModel, cross_entropy_grad
 
@@ -67,9 +67,7 @@ class InnerAttackConfig:
     gamma: float = 0.05  # relative radius adjustment per step
 
     def __post_init__(self) -> None:
-        if not (1 <= self.steps < np.inf and _whole(self.steps)):
-            raise InvalidInputError("steps must be a whole number >= 1")
-        self.steps = int(self.steps)
+        self.steps = _count(self.steps, 1, "steps")
         if not 0.0 < self.init_norm < np.inf:
             raise InvalidInputError("init_norm must be positive and finite")
         if not 0.0 < self.gamma < 1.0:

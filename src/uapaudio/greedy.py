@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import _whole
+from .audio import _count
 from .ddn import InnerAttackConfig, attack_set, check_mode, ddn_minimal_perturbation, fooled
 from .exceptions import InvalidInputError
 from .models import VictimModel
@@ -33,17 +33,12 @@ class GreedyConfig:
 
     def __post_init__(self) -> None:
         check_mode(self.mode, self.target)
-        if self.p not in (2, np.inf):
-            raise InvalidInputError("norm order must be 2 or inf")
         if not 0.0 < self.delta <= 1.0:
             raise InvalidInputError("delta must lie in (0, 1]")
-        if not (1 <= self.max_epochs < np.inf and _whole(self.max_epochs)):
-            raise InvalidInputError("max_epochs must be a whole number >= 1")
-        self.max_epochs = int(self.max_epochs)
+        self.max_epochs = _count(self.max_epochs, 1, "max_epochs")
         if self.xi is None:
             self.xi = 0.2 if self.mode == "untargeted" else 0.12
-        if not 0.0 < self.xi < np.inf:
-            raise InvalidInputError("xi must be positive and finite")
+        _check_ball((self.p, self.xi))
 
 
 @dataclass
@@ -54,17 +49,26 @@ class GreedyResult:
     inner_calls: int
 
 
-def project_lp(v: np.ndarray, p: float, xi: float) -> np.ndarray:
-    """Euclidean projection onto the Lp ball of radius xi, p in {2, inf}."""
+def _check_ball(ball) -> None:
+    """Reject an Lp ball (p, xi) unless it is a pair with p in {2, inf} and a finite radius xi > 0."""
+    try:
+        p, xi = ball
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"an Lp ball is a pair (p, xi), not {ball!r}") from None
+    if p not in (2, np.inf):
+        raise InvalidInputError("norm order must be 2 or inf")
     if not 0.0 < xi < np.inf:  # NaN fails too
         raise InvalidInputError("xi must be positive and finite")
+
+
+def project_lp(v: np.ndarray, p: float, xi: float) -> np.ndarray:
+    """Euclidean projection onto the Lp ball of radius xi, p in {2, inf}."""
+    _check_ball((p, xi))
     v = np.asarray(v, dtype=np.float64)
     if np.isinf(p):
         return np.clip(v, -xi, xi)
-    if p == 2:
-        norm = float(np.linalg.norm(v))
-        return v if norm <= xi else v * (xi / norm)
-    raise InvalidInputError("norm order must be 2 or inf")
+    norm = float(np.linalg.norm(v))
+    return v if norm <= xi else v * (xi / norm)
 
 
 def asr(model: VictimModel, inputs: np.ndarray, mode: str, refs: np.ndarray) -> float:

@@ -11,8 +11,9 @@ the cache, so one immutable model serves concurrent forward/gradient calls.
 Conv1D's forward above batch 1 and its weight gradient multiply views of the
 input, one per stride phase, so they copy no windows; its cache is the
 contiguous input. The weight gradient adds small products in a fixed order,
-so its bits do not depend on the BLAS thread count. Training runs frozen
-front layers once per call, and one Adam state covers every trained weight.
+so its bits do not depend on the BLAS thread count. Every batched pass cuts
+its rows by one rule, _row_blocks. Training runs frozen front layers once per
+call, and one Adam state covers every trained weight.
 All arithmetic is float64, and checkpoints store the float64 parameters, so a
 loaded model is the model that was saved, bit for bit.
 """
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import DEFAULT_SAMPLE_RATE, _check_labels, _check_sample_rate, _whole
+from .audio import DEFAULT_SAMPLE_RATE, _check_labels, _check_sample_rate, _count
 from .container import read_container, write_container
 from .exceptions import FormatError, InvalidInputError
 from .optim import AdamState, adam_update, seeded_batches
@@ -236,9 +237,16 @@ class Dense(_Layer):
         return dx, grads
 
 
-# Most rows per block in VictimModel._front (logits, train) and the penalty objective:
-# a 32-row block's activations (conv1's output is 1 MB at d=4096) stay in cache.
+# Most rows per block of a batched pass: a 32-row block's activations (conv1's output
+# is 1 MB at d=4096) stay in cache. Only _row_blocks reads it.
 _ROW_BLOCK = 32
+
+
+def _row_blocks(*arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """The one block rule of batched passes: each array cut alike into np.array_split's
+    fewest equal blocks of at most _ROW_BLOCK rows; one block is the arrays themselves."""
+    count = -(-len(arrays[0]) // _ROW_BLOCK)
+    return list(zip(*(np.array_split(a, count) for a in arrays))) if count > 1 else [arrays]
 
 
 class VictimModel:
@@ -279,18 +287,19 @@ class VictimModel:
         return h, caches
 
     def _front(self, batch: np.ndarray, stop: int) -> np.ndarray:
-        """layers[:stop] over a (rows, input_dim) batch, in equal blocks of at most _ROW_BLOCK rows.
+        """layers[:stop] over a (rows, input_dim) batch, block by block (_row_blocks); a view if stop is 0.
 
-        Their temporaries (conv1's output above all) stay small, and a conv row
-        has the same bits in a block of any size.
+        No block keeps a cache, so one block's temporaries (conv1's output above all)
+        are alive at a time; a conv row has the same bits in a block of any size.
         """
+        if stop == 0:
+            return batch[:, :, None]
         blocks = []
-        for block in np.array_split(batch, -(-batch.shape[0] // _ROW_BLOCK)):
-            h = block[:, :, None]
+        for (h,) in _row_blocks(batch[:, :, None]):
             for layer in self.layers[:stop]:
                 h, _ = layer.forward(h)
             blocks.append(h)
-        return np.concatenate(blocks)
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
     def backward_input(self, caches: list, dlogits: np.ndarray) -> np.ndarray:
         dh = dlogits
@@ -318,19 +327,15 @@ class VictimModel:
     def logits(self, x: np.ndarray) -> np.ndarray:
         """The logits of forward_cached, float for float.
 
-        A batch of more than _ROW_BLOCK rows runs the layers before the first
-        Flatten through _front; Flatten and the head run once on the whole
-        batch, because OpenBLAS rounds a Dense GEMM differently at many row
-        counts (its edge tiles), blocks of 17 to 32 rows included. Up to
-        _ROW_BLOCK rows it calls forward_cached: less per batch-1 call (DDN).
+        The layers before the first Flatten run through _front, at every batch size;
+        Flatten and the head run once on the whole batch, since OpenBLAS rounds a Dense
+        GEMM differently at many row counts (its edge tiles), 17 to 32 rows included.
         """
         batch, single = self._as_batch(x)
-        if batch.shape[0] <= _ROW_BLOCK:
-            out, _ = self.forward_cached(batch)
-            return out[0] if single else out
         front = next((i for i, layer in enumerate(self.layers) if isinstance(layer, Flatten)),
                      len(self.layers))
-        return self._forward(self._front(batch, front), front)[0]
+        out, _ = self._forward(self._front(batch, front), front)
+        return out[0] if single else out
 
     def predict(self, x: np.ndarray) -> int | np.ndarray:
         out = self.logits(x)
@@ -517,9 +522,7 @@ def train(model: VictimModel, dataset, epochs: int = 20, *, lr: float = 1e-3,
     One Adam state covers all trainable parameters. Returns
     {"train_accuracy": ...}, the trained model's accuracy on the training split.
     """
-    if not (0 <= epochs < np.inf and 1 <= batch_size < np.inf and _whole(epochs) and _whole(batch_size)):
-        raise InvalidInputError("epochs must be a whole number >= 0 and batch size a whole number >= 1")
-    epochs, batch_size = int(epochs), int(batch_size)
+    epochs, batch_size = _count(epochs, 0, "epochs"), _count(batch_size, 1, "batch size")
     if not 0.0 < lr < np.inf:
         raise InvalidInputError("learning rate must be positive and finite")
     x_train, y_train = dataset.arrays("train")
@@ -534,7 +537,7 @@ def train(model: VictimModel, dataset, epochs: int = 20, *, lr: float = 1e-3,
     offsets = np.cumsum([getattr(model.layers[i], name).size for i, name in slots])[:-1]
     # a prefix that holds no parameters (linear's Flatten) only reshapes: the steps run it, copying no split
     start = trainable[0] if trainable and any(layer.params() for layer in model.layers[:trainable[0]]) else 0
-    features = model._front(x_train, start) if start else x_train[:, :, None]
+    features = model._front(x_train, start)
     state = AdamState(lr=lr)
     steps = epochs * -(-n // batch_size) if slots else 0
     for batch in islice(seeded_batches(n, batch_size, np.random.default_rng(seed)), steps):

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import POWER_FLOOR, _whole, rms_power, spl
+from .audio import POWER_FLOOR, _count, rms_power, spl
 from .ddn import attack_set, check_mode
 from .exceptions import InvalidInputError
-from .greedy import asr, project_lp
-from .models import _ROW_BLOCK, VictimModel
+from .greedy import _check_ball, asr, project_lp
+from .models import VictimModel, _row_blocks
 from .optim import AdamState, adam_update, seeded_batches
 from .perturbation import Perturbation, _encode_p
 from .tanhspace import TANH_EPSILON, perturbed_sample, render_signal_v, to_tanh_space
@@ -58,18 +58,13 @@ class PenaltyConfig:
             raise InvalidInputError("kappa must be non-negative and finite")
         if not 0.0 < self.delta <= 1.0:
             raise InvalidInputError("delta must lie in (0, 1]")
-        if not (1 <= self.batch_size < np.inf and 1 <= self.max_iters < np.inf):
-            raise InvalidInputError("batch size and iteration cap must be >= 1")
-        if not 0 <= self.min_iters <= self.max_iters:
+        self.batch_size = _count(self.batch_size, 1, "batch size")
+        self.max_iters = _count(self.max_iters, 1, "max_iters")
+        self.min_iters = _count(self.min_iters, 0, "min_iters")
+        if self.min_iters > self.max_iters:
             raise InvalidInputError("min_iters must lie in [0, max_iters]")
-        counts = (self.batch_size, self.max_iters, self.min_iters)
-        if not all(_whole(n) for n in counts):
-            raise InvalidInputError(f"batch size, max_iters and min_iters {counts} must be whole numbers")
-        self.batch_size, self.max_iters, self.min_iters = (int(n) for n in counts)
         if self.project is not None:
-            p, xi = self.project
-            if p not in (2, np.inf) or not 0.0 < xi < np.inf:
-                raise InvalidInputError("post-projection needs p in {2, inf} and a finite xi > 0")
+            _check_ball(self.project)
 
 
 @dataclass
@@ -117,13 +112,12 @@ def _objective(model: VictimModel, x_tanh: np.ndarray, v: np.ndarray, refs: np.n
 
     The sum is sum_i SPL(v') + c * G(logits(w_i)) over the rows
     w_i = squash(x'_i + v'); penalty_uap descends this gradient. The forward
-    and backward passes run on equal blocks of at most _ROW_BLOCK rows, whose
+    and backward passes run on the row blocks of models._row_blocks, whose
     working sets stay in cache; the batch sum is taken once over all rows.
     """
     w = perturbed_sample(x_tanh, v)
-    n_blocks = -(-len(refs) // _ROW_BLOCK)
     hinges, hinge_grads = [], []
-    for w_block, refs_block in zip(np.array_split(w, n_blocks), np.array_split(refs, n_blocks)):
+    for w_block, refs_block in _row_blocks(w, refs):
         logits, caches = model.forward_cached(w_block)
         values, dlogits = _hinge_batch(logits, refs_block, kappa, mode)
         hinges.append(values)

@@ -53,3 +53,16 @@ def test_every_module_level_definition_has_a_caller_outside_tests():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(node.name)
     assert sorted(defined - _names_used_outside_tests(root)) == []
+
+
+def test_one_function_reads_the_row_block_size():
+    """The row-block rule is stated once: every batched pass takes its blocks from one helper."""
+    root = Path(__file__).resolve().parent.parent
+    readers = []
+    for path in (root / "src" / "uapaudio").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(n, ast.Name) and n.id == "_ROW_BLOCK" and isinstance(n.ctx, ast.Load)
+                    for n in ast.walk(node)):
+                readers.append(f"{path.stem}.{node.name}")
+    assert readers == ["models._row_blocks"]

@@ -84,6 +84,9 @@ def test_penalty_projection_rejects_non_finite_radius():
             PenaltyConfig(project=(2.0, xi))
     with pytest.raises(InvalidInputError):
         PenaltyConfig(project=(np.nan, 1.0))
+    for not_a_pair in ((2.0,), 2.0):
+        with pytest.raises(InvalidInputError, match="pair"):
+            PenaltyConfig(project=not_a_pair)
 
 
 @pytest.mark.parametrize("p", [2.0, np.inf])
@@ -123,10 +126,23 @@ def test_train_runs_whole_float_counts_as_ints():
 @pytest.mark.parametrize("name,bad", [("val_per_class", -1), ("test_per_class", -1),
                                       ("test_per_class", np.nan), ("sample_rate", 0),
                                       ("sample_rate", -16000), ("sample_rate", np.nan),
-                                      ("sample_rate", 2**31), ("sample_rate", 16000.5)])
+                                      ("sample_rate", 2**31), ("sample_rate", 16000.5),
+                                      ("num_classes", 2.5), ("per_class", 2.5), ("dim", 256.5),
+                                      ("val_per_class", 0.5), ("test_per_class", 1.5)])
 def test_generation_rejects_negative_counts_and_rates(name, bad):
+    args = {"num_classes": 2, "per_class": 2, "dim": 256, "seed": 0, name: bad}
     with pytest.raises(InvalidInputError):
-        generate_synthetic_dataset(2, 2, 256, seed=0, **{name: bad})
+        generate_synthetic_dataset(**args)
+
+
+def test_generation_takes_whole_float_counts_as_ints():
+    def digest(ds):
+        return [(x.tobytes(), y.tobytes()) for x, y in map(ds.arrays, ("train", "val", "test"))]
+
+    ints = generate_synthetic_dataset(3, 2, 256, seed=0, val_per_class=1, test_per_class=3)
+    floats = generate_synthetic_dataset(3.0, 2.0, 256.0, seed=0, val_per_class=1.0, test_per_class=3.0)
+    assert digest(floats) == digest(ints)
+    assert (type(floats.num_classes), type(floats.dim)) == (int, int)
 
 
 def test_generation_keeps_a_whole_float_rate_as_an_int(tmp_path):

@@ -385,6 +385,13 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "d").exists()
 
+    def test_noise_past_the_tone_headroom_names_the_noise_level(self, tmp_path, capsys):
+        rc = main(["gen-data", "--classes", "2", "--per-class", "3", "--dim", "256", "--noise", "0.9",
+                   "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: noise level 0.9 must lie in [0, 0.82]\n"
+        assert not (tmp_path / "d").exists()
+
     def test_directory_as_perturbation_file(self, workspace, tmp_path, capsys):
         rc = main(["evaluate", "--model", str(workspace / "victim.uapc"),
                    "--data", str(workspace / "data"), "--pert", str(tmp_path),

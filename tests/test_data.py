@@ -63,8 +63,9 @@ class TestGeneration:
             generate_synthetic_dataset(2, 0, 256)
         with pytest.raises(InvalidInputError):
             generate_synthetic_dataset(2, 4, 256, noise_level=1.0)
-        with pytest.raises(InvalidInputError):
-            generate_synthetic_dataset(2, 4, 256, noise_level=0.5, tone_amplitude=0.6)
+        with pytest.raises(InvalidInputError, match="noise level 0.83"):
+            generate_synthetic_dataset(2, 4, 256, noise_level=0.83)  # the tone would leave [0, 1]
+        generate_synthetic_dataset(2, 4, 256, noise_level=0.82)
         with pytest.raises(InvalidInputError):
             generate_synthetic_dataset(2, 4, 256).arrays("holdout")
 

@@ -23,7 +23,7 @@ from uapaudio import (
     save_model,
     train,
 )
-from uapaudio.models import Conv1D, Flatten, MaxPool1D, ReLU, cross_entropy_grad, softmax
+from uapaudio.models import Conv1D, Flatten, MaxPool1D, ReLU, _row_blocks, cross_entropy_grad, softmax
 from uapaudio.optim import AdamState, adam_update, seeded_batches
 from uapaudio.penalty import _objective
 from uapaudio.tanhspace import perturbed_sample, to_tanh_space
@@ -151,12 +151,38 @@ class TestBlockedLogits:
         # 33, 65 and 97 rows would leave a 1-row block after full blocks of 32 rows, and 34..41
         # at d=1024 a 2..9-row block: a conv row must not depend on its block's size. A Dense
         # GEMM rounds differently at many row counts (on linear at 130 and 209 rows, d=4096), so
-        # the head runs once.
+        # the head runs once. Fortran-ordered and row-strided batches take the same path.
         model = build_victim(arch, dim, 3, seed=5)
-        x = np.random.default_rng(5).uniform(0, 1, (1500, dim))
+        x = np.random.default_rng(5).uniform(0, 1, (3000, dim))
         for n in (1, 2, 31, 32, 33, 34, 41, 64, 65, 97, 130, 209, 600, 1500):
-            assert model.logits(x[:n]).tobytes() == model.forward_cached(x[:n])[0].tobytes(), n
+            for batch in (x[:n], np.asfortranarray(x[:n]), x[: 2 * n : 2]):
+                assert model.logits(batch).tobytes() == model.forward_cached(batch)[0].tobytes(), \
+                    (n, batch.strides)
         assert model.logits(x[0]).tobytes() == model.forward_cached(x[0])[0][0].tobytes()
+
+    def test_row_blocks_cut_as_array_split(self):
+        # the fewest blocks of at most 32 rows, the first n % count of them one row longer,
+        # each array cut alike
+        for n in range(1, 301):
+            rows, labels = np.arange(2 * n).reshape(n, 2), np.arange(n)
+            blocks = list(_row_blocks(rows, labels))
+            count = -(-n // 32)
+            sizes = [n // count + 1] * (n % count) + [n // count] * (count - n % count)
+            assert [len(r) for r, _ in blocks] == [len(y) for _, y in blocks] == sizes, n
+            assert [r.tobytes() for r, _ in blocks] == [b.tobytes() for b in np.array_split(rows, count)]
+            assert np.concatenate([y for _, y in blocks]).tolist() == labels.tolist()
+
+    def test_linear_logits_copy_no_batch(self):
+        model = build_victim("linear", 4096, 3, seed=0)
+        x = np.random.default_rng(0).uniform(0, 1, (1500, 4096))
+        model.logits(x[:2])  # untraced: the first call pays one-time allocations
+        tracemalloc.start()
+        try:
+            model.logits(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
 
     def test_peak_memory_stays_below_one_conv1_copy(self):
         model = build_victim("rand-cnn", 4096, 3, seed=0)
