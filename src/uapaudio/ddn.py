@@ -23,11 +23,14 @@ _STEP_START, _STEP_END = 1.0, 0.01
 
 def check_mode(mode: str, target: int | None, num_classes: int | None = None) -> None:
     """Reject an unknown attack mode, a targeted attack without a target class,
-    and, given the victim's class count, a target the victim does not have."""
+    an untargeted attack with one, and, given the victim's class count, a
+    target the victim does not have."""
     if mode not in ("untargeted", "targeted"):
         raise InvalidInputError("mode must be 'untargeted' or 'targeted'")
     if mode == "targeted" and target is None:
         raise InvalidInputError("targeted attack needs a target class")
+    if mode == "untargeted" and target is not None:
+        raise InvalidInputError(f"untargeted attack takes no target class, got target {target!r}")
     if mode == "targeted" and num_classes is not None and target not in range(num_classes):
         raise InvalidInputError(f"target class {target!r} is not a class of this {num_classes}-class victim")
 
@@ -58,6 +61,15 @@ def fooled(preds, mode: str, refs):
     differs from the reference, the class the attack has to escape.
     """
     return preds == refs if mode == "targeted" else preds != refs
+
+
+def stop_reason(asr_trace: list[float], delta: float, cap: int, floor: int = 0) -> str | None:
+    """Why a craft stops, given its full-set rates at the start and after each update:
+    "converged" at 1 - delta after at least floor updates, else "cap" after cap updates, else None."""
+    updates = len(asr_trace) - 1
+    if updates >= floor and asr_trace[-1] >= 1.0 - delta:
+        return "converged"
+    return "cap" if updates >= cap else None
 
 
 @dataclass

@@ -268,7 +268,7 @@ def single_sample_attack(model: VictimModel, x: np.ndarray, y: np.ndarray,
     if np.any(y < 0) or np.any(y >= model.num_classes):
         raise InvalidInputError("class out of range for the victim")
     if cfg is None:
-        cfg = PenaltyConfig(c=0.2, kappa=90.0, batch_size=1, max_iters=19)
+        cfg = PenaltyConfig(c=0.2, kappa=90.0, batch_size=1, min_iters=19, max_iters=19)
     out = []
     for k in np.argsort(y):
         label = int(y[k])

@@ -3,8 +3,8 @@
 Walk the training set in a seeded shuffled order; for every sample the current
 universal perturbation does not already fool, find a minimal per-sample
 perturbation with the inner attack, add it to the aggregate and project back
-onto the Lp ball. Stop once the training attack success rate reaches 1 - delta
-or the epoch cap is hit.
+onto the Lp ball. Each walk is one update. The craft stops by ddn.stop_reason:
+once the full-set attack success rate reaches 1 - delta, or at the update cap.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import _count
-from .ddn import InnerAttackConfig, attack_set, check_mode, ddn_minimal_perturbation, fooled
+from .ddn import InnerAttackConfig, attack_set, check_mode, ddn_minimal_perturbation, fooled, stop_reason
 from .exceptions import InvalidInputError
 from .models import VictimModel
 from .perturbation import Perturbation
@@ -44,7 +44,7 @@ class GreedyConfig:
 @dataclass
 class GreedyResult:
     perturbation: Perturbation
-    asr_trace: list[float]  # initial value plus one entry per epoch
+    asr_trace: list[float]  # full-set rate at the start and after each update
     converged: bool
     inner_calls: int
 
@@ -83,10 +83,13 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyRe
 
     rng = np.random.default_rng(cfg.seed)
     v = np.zeros(d)
-    trace = [asr(model, np.clip(x + v, 0.0, 1.0), cfg.mode, refs)]
+    trace: list[float] = []
     inner_calls = 0
 
-    while trace[-1] < 1.0 - cfg.delta and len(trace) <= cfg.max_epochs:
+    while True:
+        trace.append(asr(model, np.clip(x + v, 0.0, 1.0), cfg.mode, refs))
+        if (stop := stop_reason(trace, cfg.delta, cfg.max_epochs)) is not None:
+            break
         for i in rng.permutation(m):
             point = np.clip(x[i] + v, 0.0, 1.0)
             if fooled(int(model.predict(point)), cfg.mode, refs[i]):
@@ -94,7 +97,6 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyRe
             result = ddn_minimal_perturbation(model, point, cfg.inner, cfg.mode, cfg.target)
             inner_calls += 1
             v = project_lp(v + result.delta, cfg.p, cfg.xi)
-        trace.append(asr(model, np.clip(x + v, 0.0, 1.0), cfg.mode, refs))
 
     pert = Perturbation(
         v_signal=v, method="greedy", mode=cfg.mode, target=cfg.target,
@@ -103,5 +105,4 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyRe
                 "inner_steps": cfg.inner.steps, "inner_init_norm": cfg.inner.init_norm,
                 "inner_gamma": cfg.inner.gamma},
     )
-    return GreedyResult(pert, trace, converged=trace[-1] >= 1.0 - cfg.delta,
-                        inner_calls=inner_calls)
+    return GreedyResult(pert, trace, converged=stop == "converged", inner_calls=inner_calls)

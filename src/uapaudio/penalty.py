@@ -12,7 +12,9 @@ _objective is the one implementation of the objective and its gradient
 w.r.t. v': every update of the loop descends it, summed over a mini-batch and
 applied with Adam at AdamState's default settings (step size 0.01). The
 perturbed samples never need clipping because the squash keeps them strictly
-inside (0, 1).
+inside (0, 1). The craft stops by ddn.stop_reason: once the full-set attack
+success rate reaches 1 - delta (after at least min_iters updates), or at the
+update cap.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import POWER_FLOOR, _count, rms_power, spl
-from .ddn import attack_set, check_mode
+from .ddn import attack_set, check_mode, stop_reason
 from .exceptions import InvalidInputError
 from .greedy import _check_ball, asr, project_lp
 from .models import VictimModel, _row_blocks
@@ -70,7 +72,7 @@ class PenaltyConfig:
 @dataclass
 class PenaltyResult:
     perturbation: Perturbation
-    asr_trace: list[float]  # full-set rate before each update, plus the final check
+    asr_trace: list[float]  # full-set rate at the start and after each update
     trace: list[dict]  # one record per update: least batch loss, SPL of v', hinge mean
     converged: bool
     iterations: int
@@ -155,18 +157,13 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
 
     asr_trace: list[float] = []
     records: list[dict] = []
-    converged = False
-    iteration = 0
 
     while True:
         current = _asr_tanh(model, x_tanh, v, cfg.mode, refs)
         asr_trace.append(current)
         if current >= best_asr:  # ties keep the latest (deepest) iterate
             best_asr, best_v = current, v
-        if iteration >= cfg.min_iters and current >= 1.0 - cfg.delta:
-            converged = True
-            break
-        if iteration >= cfg.max_iters:
+        if (stop := stop_reason(asr_trace, cfg.delta, cfg.max_iters, cfg.min_iters)) is not None:
             break
 
         batch = next(batches)
@@ -184,7 +181,6 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
             projected = project_lp(centered, p, xi)
             if not np.array_equal(projected, centered):
                 v = to_tanh_space(projected + 0.5)
-        iteration += 1
 
     pert = Perturbation(
         v_signal=render_signal_v(best_v), method="penalty", mode=cfg.mode,
@@ -195,4 +191,4 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
                 "epsilon": TANH_EPSILON,
                 "projection": ([_encode_p(cfg.project[0]), cfg.project[1]] if cfg.project else None)},
     )
-    return PenaltyResult(pert, asr_trace, records, converged, iteration)
+    return PenaltyResult(pert, asr_trace, records, stop == "converged", len(asr_trace) - 1)

@@ -37,11 +37,15 @@ class Perturbation:
         v = np.asarray(self.v_signal, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
             raise InvalidInputError("perturbation must be a non-empty 1-D vector")
+        if not np.all(np.isfinite(v)):
+            raise InvalidInputError("perturbation must be finite")
         self.v_signal = v
         if self.v_tanh is not None:
             vt = np.asarray(self.v_tanh, dtype=np.float64)
             if vt.shape != v.shape:
                 raise InvalidInputError("tanh-space and signal-space vectors must match in length")
+            if not np.all(np.isfinite(vt)):
+                raise InvalidInputError("tanh-space perturbation must be finite")
             self.v_tanh = vt
         if self.method not in ("greedy", "penalty"):
             raise InvalidInputError(f"unknown method {self.method!r}")

@@ -55,14 +55,27 @@ def test_every_module_level_definition_has_a_caller_outside_tests():
     assert sorted(defined - _names_used_outside_tests(root)) == []
 
 
+def _functions_where(test) -> list[str]:
+    """Each function of the package, as module.name, with a syntax node inside it that passes test."""
+    root = Path(__file__).resolve().parent.parent
+    found = []
+    for path in sorted((root / "src" / "uapaudio").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and any(test(n) for n in ast.walk(node)):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
 def test_one_function_reads_the_row_block_size():
     """The row-block rule is stated once: every batched pass takes its blocks from one helper."""
-    root = Path(__file__).resolve().parent.parent
-    readers = []
-    for path in (root / "src" / "uapaudio").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.FunctionDef) and any(
-                    isinstance(n, ast.Name) and n.id == "_ROW_BLOCK" and isinstance(n.ctx, ast.Load)
-                    for n in ast.walk(node)):
-                readers.append(f"{path.stem}.{node.name}")
-    assert readers == ["models._row_blocks"]
+    assert _functions_where(lambda n: isinstance(n, ast.Name) and n.id == "_ROW_BLOCK"
+                            and isinstance(n.ctx, ast.Load)) == ["models._row_blocks"]
+
+
+def test_one_function_states_the_success_threshold():
+    """The stopping rule is stated once: only ddn.stop_reason subtracts a delta (the 1 - delta threshold)."""
+    def subtracts_delta(n):
+        return (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
+                and "delta" in (getattr(n.right, "id", None), getattr(n.right, "attr", None)))
+
+    assert _functions_where(subtracts_delta) == ["ddn.stop_reason"]

@@ -311,6 +311,8 @@ class TestErrors:
         (["craft", "--method", "greedy", "--mode", "targeted", "--target", "9"], "not a class"),
         (["craft", "--method", "penalty", "--mode", "targeted", "--target", "9"], "not a class"),
         (["craft", "--method", "penalty", "--mode", "targeted", "--target", "-1"], "not a class"),
+        (["craft", "--method", "greedy", "--mode", "untargeted", "--target", "1"], "got target 1"),
+        (["craft", "--method", "penalty", "--mode", "untargeted", "--target", "1"], "got target 1"),
         (["craft", "--method", "greedy", "--mode", "untargeted", "--xi", "nan"], "xi must"),
         (["craft", "--method", "penalty", "--mode", "untargeted", "--c", "nan"], "c must"),
         (["craft", "--method", "penalty", "--mode", "untargeted", "--c", "inf"], "c must"),
@@ -320,7 +322,8 @@ class TestErrors:
         (["train-victim", "--arch", "linear", "--epochs", "0"], "--epochs"),
         (["sweep", "datacount", "--grid", "nan"], "whole number"),
         (["sweep", "datacount", "--grid", "5,inf"], "whole number"),
-    ], ids=["greedy-target-9", "penalty-target-9", "penalty-target-minus-1", "xi-nan", "c-nan",
+    ], ids=["greedy-target-9", "penalty-target-9", "penalty-target-minus-1", "greedy-untargeted-target-1",
+            "penalty-untargeted-target-1", "xi-nan", "c-nan",
             "c-inf", "kappa-nan", "lr-nan", "batch-0", "epochs-0", "datacount-nan", "datacount-inf"])
     def test_bad_value_exits_2(self, workspace, tmp_path, capsys, argv, message):
         import warnings

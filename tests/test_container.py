@@ -182,6 +182,15 @@ class TestPerturbation:
             Perturbation(np.zeros(4), method="greedy", mode="sideways")
         with pytest.raises(InvalidInputError):
             Perturbation(np.zeros(4), method="penalty", mode="untargeted", v_tanh=np.zeros(5))
+        with pytest.raises(InvalidInputError, match="no target class"):
+            Perturbation(np.zeros(4), method="greedy", mode="untargeted", target=5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_vectors_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="perturbation must be finite"):
+            Perturbation(np.array([0.1, bad]), method="greedy", mode="untargeted")
+        with pytest.raises(InvalidInputError, match="tanh-space perturbation must be finite"):
+            Perturbation(np.zeros(2), method="penalty", mode="untargeted", v_tanh=np.array([bad, 0.1]))
 
     def test_save_load_fields(self, tmp_path, rng):
         f = tmp_path / "p.uapc"
@@ -253,7 +262,7 @@ class TestPerturbation:
     @pytest.mark.parametrize("defect", ["no-method", "no-mode", "no-signal", "nan-signal", "no-tanh", "nan-tanh",
                                         "inf-tanh", "str-p", "str-target", "float-target", "bool-target",
                                         "str-xi", "zero-xi", "negative-xi", "bad-mode", "bad-method",
-                                        "targeted-no-target"])
+                                        "targeted-no-target", "untargeted-target"])
     def test_malformed_file_is_format_error(self, defect, tmp_path, rng):
         # a greedy file stores v_signal, a penalty file only v_tanh
         f = tmp_path / "p.uapc"
@@ -278,6 +287,8 @@ class TestPerturbation:
             manifest[defect[4:]] = "foo"
         elif defect == "targeted-no-target":
             manifest["mode"], manifest["target"] = "targeted", None
+        elif defect == "untargeted-target":
+            manifest["target"] = 1
         elif defect.endswith("-target"):
             manifest["target"] = {"str": "x", "float": 1.5, "bool": True}[defect[:-7]]
         elif defect.endswith("-xi"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uapaudio import InnerAttackConfig, InvalidInputError, ddn_minimal_perturbation
-from uapaudio.ddn import check_mode, fooled
+from uapaudio.ddn import check_mode, fooled, stop_reason
 
 from oracles import linear_victim_from_params
 
@@ -59,6 +59,24 @@ class TestSuccessPredicate:
             check_mode("sideways", 0)
         with pytest.raises(InvalidInputError, match="target class"):
             check_mode("targeted", None)
+        with pytest.raises(InvalidInputError, match="no target class, got target 2"):
+            check_mode("untargeted", 2)
+
+
+@pytest.mark.parametrize("asr_trace,delta,cap,floor,reason", [
+    ([0.0], 1.0, 5, 0, "converged"),
+    ([0.2, 0.9], 0.1, 5, 0, "converged"),
+    ([0.2, 0.95], 0.1, 5, 2, None),
+    ([0.2, 0.3, 0.95], 0.1, 5, 2, "converged"),
+    ([0.2, 0.3, 0.95], 0.1, 2, 2, "converged"),
+    ([0.2, 0.3, 0.85], 0.1, 2, 0, "cap"),
+    ([0.2, 0.3, 0.85], 0.1, 5, 0, None),
+    ([0.2], 0.1, 5, 0, None),
+], ids=["delta-one-at-start", "at-one-minus-delta", "floor-defers", "floor-reached", "converged-beats-cap",
+        "cap", "between", "start"])
+def test_stop_reason(asr_trace, delta, cap, floor, reason):
+    """Converged at 1 - delta once floor updates have run, else cap after cap updates, else go on."""
+    assert stop_reason(asr_trace, delta, cap, floor) == reason
 
 
 class TestHyperplaneOracle:

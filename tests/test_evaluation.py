@@ -353,6 +353,19 @@ class TestSingleSample:
         assert label == 1 and report.rows[0].clean_pred == 0
         assert report.train_asr == res.perturbation.train_asr
 
+    def test_default_runs_the_fixed_19_update_budget(self):
+        # each sample sits one update from the boundary, so a run that
+        # stops at its first success ends after one update
+        model = axis_model()
+        x = np.full((2, 8), 0.5)
+        x[0, 0], x[1, 0] = 0.502, 0.499
+        y = model.predict(x)
+        first_success = PenaltyConfig(c=0.2, kappa=90.0, batch_size=1, max_iters=19)
+        assert penalty_uap(model, x[:1], None, first_success).iterations == 1
+        fixed = PenaltyConfig(c=0.2, kappa=90.0, batch_size=1, min_iters=19, max_iters=19)
+        default = single_sample_attack(model, x, y, (x, None))
+        assert repr(default) == repr(single_sample_attack(model, x, y, (x, None), cfg=fixed))
+
     def test_validation(self, victim, train_xy, test_xy):
         x, y = train_xy
         with pytest.raises(InvalidInputError):
