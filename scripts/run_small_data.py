@@ -18,17 +18,10 @@ from uapaudio import (
     GreedyConfig,
     PenaltyConfig,
     accuracy,
-    evaluate_uap,
-    greedy_uap,
-    penalty_uap,
     single_sample_attack,
+    sweep_datacount,
     two_proportion_z,
 )
-
-
-def subset(x: np.ndarray, y: np.ndarray, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.sort(np.random.default_rng(seed).permutation(x.shape[0])[:m])
-    return x[idx], y[idx]
 
 
 def main() -> None:
@@ -43,16 +36,12 @@ def main() -> None:
     print(f"victim test acc {accuracy(model, *testset):.3f}")
 
     m_test = testset[0].shape[0]
+    rows = [row for s in range(args.seeds)
+            for row in sweep_datacount(model, x, testset, (1, 5), GreedyConfig(seed=s),
+                                       PenaltyConfig(c=5.0, kappa=90.0, min_iters=19, seed=s), seed=1000 + s)]
     for m in (1, 5):
-        greedy_scores, penalty_scores = [], []
-        for s in range(args.seeds):
-            xs, ys = subset(x, y, m, seed=1000 + s)
-            g = greedy_uap(model, xs, GreedyConfig(seed=s))
-            greedy_scores.append(evaluate_uap(model, testset, g.perturbation).test_asr)
-            cfg = PenaltyConfig(c=5.0, kappa=90.0, batch_size=min(m, 100),
-                                min_iters=19, seed=s)
-            p = penalty_uap(model, xs, ys, cfg)
-            penalty_scores.append(evaluate_uap(model, testset, p.perturbation).test_asr)
+        greedy_scores = [r["test_asr"] for r in rows if r["m"] == m and r["method"] == "greedy"]
+        penalty_scores = [r["test_asr"] for r in rows if r["m"] == m and r["method"] == "penalty"]
         g_med = statistics.median(greedy_scores)
         p_med = statistics.median(penalty_scores)
         print(f"m={m}: greedy {[f'{v:.2f}' for v in greedy_scores]} median {g_med:.3f}")

@@ -60,8 +60,8 @@ def band_edges(num_classes: int, dim: int) -> np.ndarray:
     return np.linspace(lo, hi, num_classes + 1)
 
 
-def class_template(dim: int, lo: float, hi: float, tone_amplitude: float) -> np.ndarray:
-    """The class's deterministic AM tone, zero-centred, peak |s| <= tone_amplitude.
+def class_template(dim: int, lo: float, hi: float) -> np.ndarray:
+    """The class's deterministic AM tone, zero-centred, peak |s| <= TONE_AMPLITUDE.
 
     The carrier sits mid-band on a multiple of the envelope frequency so the
     waveform is periodic, with both AM sidebands strictly inside (lo, hi).
@@ -72,7 +72,7 @@ def class_template(dim: int, lo: float, hi: float, tone_amplitude: float) -> np.
         raise InvalidInputError("band too narrow for an in-band carrier")
     carrier = AM_CYCLES * ((first + last) // 2)
     t = np.arange(dim) / dim
-    amp = tone_amplitude / (1.0 + AM_DEPTH)
+    amp = TONE_AMPLITUDE / (1.0 + AM_DEPTH)
     return amp * (1.0 + AM_DEPTH * np.sin(2.0 * np.pi * AM_CYCLES * t)) \
         * np.sin(2.0 * np.pi * carrier * t)
 
@@ -95,8 +95,7 @@ def generate_synthetic_dataset(num_classes: int, per_class: int, dim: int,
         raise InvalidInputError(f"noise level {noise_level} must lie in [0, {1.0 - TONE_AMPLITUDE:g}]")
     sample_rate = _check_sample_rate(sample_rate)
     edges = band_edges(num_classes, dim)
-    templates = [class_template(dim, edges[k], edges[k + 1], TONE_AMPLITUDE)
-                 for k in range(num_classes)]
+    templates = [class_template(dim, edges[k], edges[k + 1]) for k in range(num_classes)]
     rng = np.random.default_rng(seed)
     counts = {"train": per_class, "val": val_per_class, "test": test_per_class}
     splits, labels = {}, {}

@@ -1,8 +1,8 @@
 """Minimal-norm L2 inner attack with a decoupled direction/norm schedule.
 
 Each step takes a gradient-normalized cross-entropy step (cosine step size),
-then rescales the perturbation onto a sphere whose radius shrinks by gamma
-after an adversarial iterate and grows by gamma otherwise. The result is the
+then rescales the perturbation onto a sphere whose radius shrinks by 5%
+after an adversarial iterate and grows by 5% otherwise. The result is the
 smallest-norm iterate that satisfied the attack condition; candidates are
 always evaluated at clip(x + delta, 0, 1) so they honor the signal box.
 """
@@ -19,6 +19,8 @@ from .models import VictimModel, cross_entropy_grad
 
 # cosine step-size schedule, from the first step's size down to the last one's
 _STEP_START, _STEP_END = 1.0, 0.01
+# the radius starts at _INIT_NORM and shrinks or grows by the factor 1 -/+ _GAMMA each step
+_INIT_NORM, _GAMMA = 0.2, 0.05
 
 
 def check_mode(mode: str, target: int | None, num_classes: int | None = None) -> None:
@@ -75,15 +77,9 @@ def stop_reason(asr_trace: list[float], delta: float, cap: int, floor: int = 0) 
 @dataclass
 class InnerAttackConfig:
     steps: int = 50
-    init_norm: float = 0.2
-    gamma: float = 0.05  # relative radius adjustment per step
 
     def __post_init__(self) -> None:
         self.steps = _count(self.steps, 1, "steps")
-        if not 0.0 < self.init_norm < np.inf:
-            raise InvalidInputError("init_norm must be positive and finite")
-        if not 0.0 < self.gamma < 1.0:
-            raise InvalidInputError("gamma must lie in (0, 1)")
 
 
 @dataclass
@@ -103,7 +99,7 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
     (x,), (ref,) = attack_set(model, x, None, mode, target)
 
     delta = np.zeros_like(x)
-    radius = cfg.init_norm
+    radius = _INIT_NORM
     trace = [radius]
     best: np.ndarray | None = None
     best_norm = np.inf
@@ -128,7 +124,7 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
             step = (alpha / gnorm) * grad
             delta = delta + step if mode == "untargeted" else delta - step
 
-        radius = radius * (1.0 - cfg.gamma) if is_adv else radius * (1.0 + cfg.gamma)
+        radius = radius * (1.0 - _GAMMA) if is_adv else radius * (1.0 + _GAMMA)
         trace.append(radius)
         dnorm = float(np.linalg.norm(delta))
         if dnorm > 0.0:

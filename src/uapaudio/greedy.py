@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import _count
-from .ddn import InnerAttackConfig, attack_set, check_mode, ddn_minimal_perturbation, fooled, stop_reason
+from .ddn import (_GAMMA, _INIT_NORM, InnerAttackConfig, attack_set, check_mode, ddn_minimal_perturbation,
+                  fooled, stop_reason)
 from .exceptions import InvalidInputError
 from .models import VictimModel
 from .perturbation import Perturbation
@@ -99,10 +100,9 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyRe
             v = project_lp(v + result.delta, cfg.p, cfg.xi)
 
     pert = Perturbation(
-        v_signal=v, method="greedy", mode=cfg.mode, target=cfg.target,
+        v_signal=v, mode=cfg.mode, target=cfg.target,
         p=cfg.p, xi=cfg.xi, seed=cfg.seed, train_asr=trace[-1],
         params={"delta": cfg.delta, "max_epochs": cfg.max_epochs,
-                "inner_steps": cfg.inner.steps, "inner_init_norm": cfg.inner.init_norm,
-                "inner_gamma": cfg.inner.gamma},
+                "inner_steps": cfg.inner.steps, "inner_init_norm": _INIT_NORM, "inner_gamma": _GAMMA},
     )
     return GreedyResult(pert, trace, converged=stop == "converged", inner_calls=inner_calls)

@@ -10,15 +10,15 @@ import numpy as np
 
 from .exceptions import InvalidInputError
 
+# Adam's moment decay rates and its denominator guard
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class AdamState:
-    """Moment estimates and hyperparameters for one optimized vector."""
+    """Step size and moment estimates for one optimized vector."""
 
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: np.ndarray | None = None
     u: np.ndarray | None = None
@@ -35,11 +35,11 @@ def adam_update(state: AdamState, grad: np.ndarray) -> tuple[np.ndarray, AdamSta
     m = np.zeros_like(g) if state.m is None else state.m
     u = np.zeros_like(g) if state.u is None else state.u
     t = state.t + 1
-    m = state.beta1 * m + (1.0 - state.beta1) * g
-    u = state.beta2 * u + (1.0 - state.beta2) * np.square(g)
-    m_hat = m / (1.0 - state.beta1**t)
-    u_hat = u / (1.0 - state.beta2**t)
-    delta = -state.lr * m_hat / (np.sqrt(u_hat) + state.eps)
+    m = _BETA1 * m + (1.0 - _BETA1) * g
+    u = _BETA2 * u + (1.0 - _BETA2) * np.square(g)
+    m_hat = m / (1.0 - _BETA1**t)
+    u_hat = u / (1.0 - _BETA2**t)
+    delta = -state.lr * m_hat / (np.sqrt(u_hat) + _EPS)
     return delta, replace(state, t=t, m=m, u=u)
 
 

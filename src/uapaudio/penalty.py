@@ -183,8 +183,7 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
                 v = to_tanh_space(projected + 0.5)
 
     pert = Perturbation(
-        v_signal=render_signal_v(best_v), method="penalty", mode=cfg.mode,
-        v_tanh=best_v, target=cfg.target, seed=cfg.seed, train_asr=best_asr,
+        v_tanh=best_v, mode=cfg.mode, target=cfg.target, seed=cfg.seed, train_asr=best_asr,
         p=(cfg.project[0] if cfg.project else None),
         xi=(cfg.project[1] if cfg.project else None),
         params={"c": cfg.c, "kappa": cfg.kappa, "S": cfg.batch_size, "lr": adam.lr,

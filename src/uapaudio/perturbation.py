@@ -1,9 +1,11 @@
 """Universal perturbation artifact and its single-file format.
 
-The artifact carries the signal-space vector (always) and, for the penalty
-method, the tanh-space carrier it was optimized in. A file stores the carrier
-if there is one, else the signal vector. A load renders the signal vector from
-the carrier, and the manifest's norms and SPL describe what a load returns.
+A perturbation is built from one vector, and that vector decides its method:
+greedy's signal-space vector, added to a sample and clipped into the box, or
+penalty's tanh-space carrier, added in tanh space and squashed. For penalty,
+the constructor renders the signal-space vector from the carrier. A file
+stores the one vector, its manifest's method must match it, and the
+manifest's norms and SPL describe the signal-space vector.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from .exceptions import FormatError, InvalidInputError
 from .tanhspace import TANH_EPSILON, render_signal_v
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Perturbation:
-    v_signal: np.ndarray
-    method: str  # "greedy" | "penalty"
     mode: str  # "untargeted" | "targeted"
-    v_tanh: np.ndarray | None = None
+    v_signal: np.ndarray | None = None  # greedy passes it; penalty's is rendered from v_tanh
+    v_tanh: np.ndarray | None = None  # penalty passes it
     target: int | None = None
     p: float | None = None  # norm order of the crafting constraint (2 or inf)
     xi: float | None = None
@@ -34,22 +35,21 @@ class Perturbation:
     params: dict = field(default_factory=dict)  # method-specific settings
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.v_signal, dtype=np.float64)
+        if (self.v_signal is None) == (self.v_tanh is None):
+            raise InvalidInputError("a perturbation takes one vector: v_signal (greedy) or v_tanh (penalty)")
+        v = np.asarray(self.v_signal if self.v_tanh is None else self.v_tanh, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
             raise InvalidInputError("perturbation must be a non-empty 1-D vector")
+        if self.v_tanh is not None:
+            self.v_tanh, v = v, render_signal_v(v)  # refuses a non-finite carrier
         if not np.all(np.isfinite(v)):
             raise InvalidInputError("perturbation must be finite")
         self.v_signal = v
-        if self.v_tanh is not None:
-            vt = np.asarray(self.v_tanh, dtype=np.float64)
-            if vt.shape != v.shape:
-                raise InvalidInputError("tanh-space and signal-space vectors must match in length")
-            if not np.all(np.isfinite(vt)):
-                raise InvalidInputError("tanh-space perturbation must be finite")
-            self.v_tanh = vt
-        if self.method not in ("greedy", "penalty"):
-            raise InvalidInputError(f"unknown method {self.method!r}")
         check_mode(self.mode, self.target)
+
+    @property
+    def method(self) -> str:
+        return "greedy" if self.v_tanh is None else "penalty"
 
     @property
     def dim(self) -> int:
@@ -73,10 +73,7 @@ def _decode_p(p) -> float | None:
 
 
 def save_perturbation(pert: Perturbation, path: str | Path) -> None:
-    if pert.v_tanh is None:
-        v, blobs = pert.v_signal, {"v_signal": pert.v_signal}
-    else:  # the signal vector a load renders
-        v, blobs = render_signal_v(pert.v_tanh), {"v_tanh": pert.v_tanh}
+    v = pert.v_signal
     manifest = {
         "kind": "perturbation",
         "method": pert.method,
@@ -91,7 +88,7 @@ def save_perturbation(pert: Perturbation, path: str | Path) -> None:
         "spl": spl(v),
         "params": pert.params,
     }
-    write_container(path, manifest, blobs)
+    write_container(path, manifest, {"v_signal": v} if pert.v_tanh is None else {"v_tanh": pert.v_tanh})
 
 
 def load_perturbation(path: str | Path) -> Perturbation:
@@ -113,13 +110,11 @@ def load_perturbation(path: str | Path) -> Perturbation:
     if params.get("epsilon", TANH_EPSILON) != TANH_EPSILON:
         raise FormatError(f"perturbation file {path}: params epsilon must be {TANH_EPSILON}, "
                           f"got {params['epsilon']!r}")
-    v_tanh = blobs.get("v_tanh")
     try:
-        return Perturbation(
-            v_signal=blobs["v_signal"] if v_tanh is None else render_signal_v(v_tanh),
-            method=manifest["method"],
+        pert = Perturbation(
             mode=manifest["mode"],
-            v_tanh=v_tanh,
+            v_signal=blobs.get("v_signal"),
+            v_tanh=blobs.get("v_tanh"),
             target=target,
             p=_decode_p(manifest.get("p")),
             xi=xi,
@@ -127,6 +122,10 @@ def load_perturbation(path: str | Path) -> Perturbation:
             train_asr=train_asr,
             params=params,
         )
+        if manifest["method"] != pert.method:
+            raise FormatError(f"perturbation file {path}: method {manifest['method']!r} does not match its "
+                              f"stored vector, which is {pert.method}'s")
+        return pert
     except KeyError as exc:
         raise FormatError(f"perturbation file {path} has no entry {exc}") from exc
     except InvalidInputError as exc:

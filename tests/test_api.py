@@ -79,3 +79,11 @@ def test_one_function_states_the_success_threshold():
                 and "delta" in (getattr(n.right, "id", None), getattr(n.right, "attr", None)))
 
     assert _functions_where(subtracts_delta) == ["ddn.stop_reason"]
+
+
+def test_one_function_renders_a_perturbations_signal_vector():
+    """A perturbation's signal-space vector is rendered once, when it is built; the
+    other call is penalty's projection step, which works on the iterate."""
+    assert _functions_where(lambda n: isinstance(n, ast.Call)
+                            and getattr(n.func, "id", None) == "render_signal_v") \
+        == ["penalty.penalty_uap", "perturbation.__post_init__"]

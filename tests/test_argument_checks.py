@@ -55,8 +55,6 @@ BAD_FIELDS = [
     (PenaltyConfig, "max_iters", bad_count(1)),
     (PenaltyConfig, "min_iters", bad_count(0) | st.integers(min_value=101)),  # max_iters is 100
     (InnerAttackConfig, "steps", bad_count(1)),
-    (InnerAttackConfig, "init_norm", not_positive),
-    (InnerAttackConfig, "gamma", not_positive | st.floats(min_value=1.0)),
 ]
 
 
@@ -175,7 +173,7 @@ class TestNonFiniteSamples:
             penalty_uap(build_victim("linear", 256, 2), self._samples(bad), np.zeros(3), PenaltyConfig())
 
     def test_evaluate(self, bad):
-        pert = Perturbation(np.zeros(256), method="greedy", mode="untargeted")
+        pert = Perturbation(v_signal=np.zeros(256), mode="untargeted")
         with pytest.raises(InvalidInputError, match=r"\[0, 1\]"):
             evaluate_uap(build_victim("linear", 256, 2), (self._samples(bad), None), pert)
 
@@ -185,7 +183,7 @@ _LINEAR = build_victim("linear", 256, 2)
 SAMPLE_CALLERS = {
     "ddn": lambda x: ddn_minimal_perturbation(_LINEAR, x[1], InnerAttackConfig()),
     "evaluate": lambda x: evaluate_uap(_LINEAR, (x, None),
-                                       Perturbation(np.zeros(256), method="greedy", mode="untargeted")),
+                                       Perturbation(v_signal=np.zeros(256), mode="untargeted")),
     "greedy": lambda x: greedy_uap(_LINEAR, x, GreedyConfig()),
     "tanh_space": to_tanh_space,
 }
@@ -215,7 +213,7 @@ class TestTargetAgainstVictim:
                         PenaltyConfig(mode="targeted", target=target))
 
     def test_evaluate(self, target):
-        pert = Perturbation(np.zeros(256), method="greedy", mode="targeted", target=target)
+        pert = Perturbation(v_signal=np.zeros(256), mode="targeted", target=target)
         with pytest.raises(InvalidInputError, match="not a class"):
             evaluate_uap(build_victim("linear", 256, 3), (np.full((2, 256), 0.5), None), pert)
 
@@ -230,7 +228,7 @@ class TestLabelsAlignWithSamples:
             penalty_uap(_LINEAR, np.full((3, 256), 0.5), labels, PenaltyConfig())
 
     def test_evaluate(self, labels):
-        pert = Perturbation(np.zeros(256), method="greedy", mode="untargeted")
+        pert = Perturbation(v_signal=np.zeros(256), mode="untargeted")
         with pytest.raises(InvalidInputError, match="labels must align"):
             evaluate_uap(_LINEAR, (np.full((3, 256), 0.5), labels), pert)
 

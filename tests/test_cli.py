@@ -358,6 +358,28 @@ class TestErrors:
         assert err.startswith("error:") and next(iter(entry)) in err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("defect", ["penalty-signal-only", "greedy-tanh-only", "both-vectors", "no-vector"])
+    def test_misfiled_perturbation_vector_exits_2(self, workspace, tmp_path, capsys, defect):
+        # a file's method follows from the vector it stores; a file that contradicts it is malformed
+        from uapaudio.container import read_container, write_container
+        from uapaudio.tanhspace import render_signal_v
+
+        source = "greedy" if defect.startswith("greedy") else "penalty"
+        manifest, blobs = read_container(workspace / f"{source}.uapc")
+        (vector,) = blobs.values()
+        blobs = {"penalty-signal-only": {"v_signal": render_signal_v(vector)},
+                 "greedy-tanh-only": {"v_tanh": vector},
+                 "both-vectors": {"v_signal": render_signal_v(vector), "v_tanh": vector},
+                 "no-vector": {}}[defect]
+        write_container(tmp_path / "p.uapc", manifest, blobs)
+        rc = main(["evaluate", "--model", str(workspace / "victim.uapc"),
+                   "--data", str(workspace / "data"), "--pert", str(tmp_path / "p.uapc"),
+                   "--report", str(tmp_path / "r.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and ("does not match" in err or "one vector" in err)
+        assert not (tmp_path / "r.csv").exists()
+
     def test_out_of_range_label_in_dataset(self, workspace, tmp_path, capsys):
         import shutil
 

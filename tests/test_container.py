@@ -1,5 +1,8 @@
 """Artifact container format, CSV helpers, perturbation files."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -149,24 +152,24 @@ class TestContainer:
 
 
 class TestPerturbation:
-    def _make(self, rng, **kw):
+    def _make(self, rng, method="penalty", **kw):
+        # greedy is built from a signal-space vector, penalty from a tanh-space one
+        name, scale = ("v_signal", 0.05) if method == "greedy" else ("v_tanh", 0.1)
         base = dict(
-            v_signal=rng.normal(scale=0.05, size=32),
-            method="penalty",
             mode="untargeted",
-            v_tanh=rng.normal(scale=0.1, size=32),
             p=2.0,
             xi=1.5,
             seed=9,
             train_asr=0.75,
             params={"c": 0.2, "kappa": 5.0},
         )
+        base[name] = rng.normal(scale=scale, size=32)
         base.update(kw)
         return Perturbation(**base)
 
     def test_norm_helpers(self, tmp_path):
         # the saved manifest records the norms of the stored vector
-        pert = Perturbation(np.array([0.3, -0.4]), method="greedy", mode="untargeted")
+        pert = Perturbation(v_signal=np.array([0.3, -0.4]), mode="untargeted")
         save_perturbation(pert, tmp_path / "p.uapc")
         norms = read_container(tmp_path / "p.uapc")[0]["norms"]
         assert norms["l2"] == pytest.approx(0.5)
@@ -175,22 +178,24 @@ class TestPerturbation:
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
-            Perturbation(np.zeros((2, 2)), method="greedy", mode="untargeted")
+            Perturbation(v_signal=np.zeros((2, 2)), mode="untargeted")
         with pytest.raises(InvalidInputError):
-            Perturbation(np.zeros(4), method="nope", mode="untargeted")
+            Perturbation(v_tanh=np.zeros((2, 2)), mode="untargeted")
         with pytest.raises(InvalidInputError):
-            Perturbation(np.zeros(4), method="greedy", mode="sideways")
-        with pytest.raises(InvalidInputError):
-            Perturbation(np.zeros(4), method="penalty", mode="untargeted", v_tanh=np.zeros(5))
+            Perturbation(v_signal=np.zeros(4), mode="sideways")
+        with pytest.raises(InvalidInputError, match="one vector"):
+            Perturbation(v_signal=np.zeros(4), v_tanh=np.zeros(4), mode="untargeted")
+        with pytest.raises(InvalidInputError, match="one vector"):
+            Perturbation(mode="untargeted")
         with pytest.raises(InvalidInputError, match="no target class"):
-            Perturbation(np.zeros(4), method="greedy", mode="untargeted", target=5)
+            Perturbation(v_signal=np.zeros(4), mode="untargeted", target=5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
     def test_non_finite_vectors_rejected(self, bad):
         with pytest.raises(InvalidInputError, match="perturbation must be finite"):
-            Perturbation(np.array([0.1, bad]), method="greedy", mode="untargeted")
+            Perturbation(v_signal=np.array([0.1, bad]), mode="untargeted")
         with pytest.raises(InvalidInputError, match="tanh-space perturbation must be finite"):
-            Perturbation(np.zeros(2), method="penalty", mode="untargeted", v_tanh=np.array([bad, 0.1]))
+            Perturbation(v_tanh=np.array([bad, 0.1]), mode="untargeted")
 
     def test_save_load_fields(self, tmp_path, rng):
         f = tmp_path / "p.uapc"
@@ -219,7 +224,7 @@ class TestPerturbation:
 
     def test_greedy_file_has_no_tanh_blob(self, tmp_path, rng):
         f = tmp_path / "g.uapc"
-        pert = self._make(rng, method="greedy", v_tanh=None, params={})
+        pert = self._make(rng, method="greedy", params={})
         save_perturbation(pert, f)
         assert load_perturbation(f).v_tanh is None
 
@@ -236,7 +241,7 @@ class TestPerturbation:
     def test_greedy_linf_stays_within_xi(self, tmp_path):
         # a vector clipped at xi records xi, not a rounding of it
         f = tmp_path / "g.uapc"
-        save_perturbation(Perturbation(np.full(8, 0.2), "greedy", "untargeted", p=np.inf, xi=0.2), f)
+        save_perturbation(Perturbation(v_signal=np.full(8, 0.2), mode="untargeted", p=np.inf, xi=0.2), f)
         manifest = read_container(f)[0]
         assert manifest["norms"]["linf"] <= manifest["xi"] == 0.2
         assert np.all(load_perturbation(f).v_signal == 0.2)
@@ -262,12 +267,13 @@ class TestPerturbation:
     @pytest.mark.parametrize("defect", ["no-method", "no-mode", "no-signal", "nan-signal", "no-tanh", "nan-tanh",
                                         "inf-tanh", "str-p", "str-target", "float-target", "bool-target",
                                         "str-xi", "zero-xi", "negative-xi", "bad-mode", "bad-method",
-                                        "targeted-no-target", "untargeted-target"])
+                                        "targeted-no-target", "untargeted-target", "penalty-signal-only",
+                                        "greedy-tanh-only", "both-vectors"])
     def test_malformed_file_is_format_error(self, defect, tmp_path, rng):
-        # a greedy file stores v_signal, a penalty file only v_tanh
+        # a greedy file stores only v_signal, a penalty file only v_tanh
         f = tmp_path / "p.uapc"
-        greedy = defect.endswith("-signal")
-        save_perturbation(self._make(rng, method="greedy", v_tanh=None) if greedy else self._make(rng), f)
+        greedy = defect.endswith("-signal") or defect.startswith("greedy")
+        save_perturbation(self._make(rng, method="greedy" if greedy else "penalty"), f)
         manifest, blobs = read_container(f)
         if defect == "no-method":
             del manifest["method"]
@@ -289,6 +295,12 @@ class TestPerturbation:
             manifest["mode"], manifest["target"] = "targeted", None
         elif defect == "untargeted-target":
             manifest["target"] = 1
+        elif defect == "penalty-signal-only":
+            blobs = {"v_signal": render_signal_v(blobs["v_tanh"])}
+        elif defect == "greedy-tanh-only":
+            blobs = {"v_tanh": blobs["v_signal"]}
+        elif defect == "both-vectors":
+            blobs["v_signal"] = render_signal_v(blobs["v_tanh"])
         elif defect.endswith("-target"):
             manifest["target"] = {"str": "x", "float": 1.5, "bool": True}[defect[:-7]]
         elif defect.endswith("-xi"):
@@ -298,3 +310,16 @@ class TestPerturbation:
         write_container(f, manifest, blobs)
         with pytest.raises(FormatError):
             load_perturbation(f)
+
+    @given(kind=st.sampled_from(["v_signal", "v_tanh"]),
+           values=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=16))
+    def test_round_trip_keeps_the_vector_and_its_method(self, kind, values):
+        pert = Perturbation(**{kind: np.array(values)}, mode="untargeted")
+        with tempfile.TemporaryDirectory() as root:
+            save_perturbation(pert, Path(root) / "p.uapc")
+            loaded = load_perturbation(Path(root) / "p.uapc")
+        assert loaded.method == pert.method == ("greedy" if kind == "v_signal" else "penalty")
+        assert loaded.v_signal.tobytes() == pert.v_signal.tobytes()
+        assert (loaded.v_tanh is None) == (pert.v_tanh is None)
+        if pert.v_tanh is not None:
+            assert loaded.v_tanh.tobytes() == pert.v_tanh.tobytes()

@@ -15,7 +15,7 @@ from uapaudio import (
     save_dataset_dir,
     save_wav,
 )
-from uapaudio.data import AM_CYCLES, band_edges, class_template
+from uapaudio.data import AM_CYCLES, TONE_AMPLITUDE, band_edges, class_template
 
 
 def band_power_ratio(x: np.ndarray, lo: float, hi: float) -> float:
@@ -132,8 +132,8 @@ class TestSpectralStructure:
 
     def test_template_peak_bound(self):
         edges = band_edges(2, 512)
-        s = class_template(512, edges[0], edges[1], 0.18)
-        assert np.max(np.abs(s)) <= 0.18 + 1e-12
+        s = class_template(512, edges[0], edges[1])
+        assert np.max(np.abs(s)) <= TONE_AMPLITUDE + 1e-12
 
     def test_band_edges_reject_tiny_dim(self):
         with pytest.raises(InvalidInputError):

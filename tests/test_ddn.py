@@ -17,12 +17,6 @@ class TestConfigValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(InvalidInputError):
             InnerAttackConfig(steps=0)
-        with pytest.raises(InvalidInputError):
-            InnerAttackConfig(init_norm=0.0)
-        with pytest.raises(InvalidInputError):
-            InnerAttackConfig(gamma=0.0)
-        with pytest.raises(InvalidInputError):
-            InnerAttackConfig(gamma=1.0)
         model, x, cfg = two_class_model(np.ones(8), 0.0), np.full(8, 0.5), InnerAttackConfig()
         with pytest.raises(InvalidInputError, match="target class"):
             ddn_minimal_perturbation(model, x, cfg, "targeted")
@@ -83,7 +77,7 @@ class TestHyperplaneOracle:
     def test_norm_within_five_percent_of_distance(self, rng):
         # for a linear two-class model the optimal L2 flip norm is the
         # point-to-hyperplane distance |w.x + b| / ||w||
-        cfg = InnerAttackConfig(steps=60, init_norm=0.2, gamma=0.05)
+        cfg = InnerAttackConfig(steps=60)
         for _ in range(20):
             d = 32
             w = rng.normal(size=d)
@@ -112,14 +106,14 @@ class TestHyperplaneOracle:
 class TestRadiusSchedule:
     def test_trace_shape_and_start(self, rng):
         model = two_class_model(rng.normal(size=8), 0.1)
-        cfg = InnerAttackConfig(steps=13, init_norm=0.37)
+        cfg = InnerAttackConfig(steps=13)
         res = ddn_minimal_perturbation(model, rng.uniform(0.3, 0.7, 8), cfg)
         assert res.radius_trace.shape == (14,)
-        assert res.radius_trace[0] == 0.37
+        assert res.radius_trace[0] == 0.2
 
     def test_every_step_scales_by_gamma(self, rng):
         model = two_class_model(rng.normal(size=8), 0.1)
-        cfg = InnerAttackConfig(steps=25, gamma=0.05)
+        cfg = InnerAttackConfig(steps=25)
         res = ddn_minimal_perturbation(model, rng.uniform(0.3, 0.7, 8), cfg)
         trace = res.radius_trace
         for k in range(len(trace) - 1):
@@ -128,11 +122,11 @@ class TestRadiusSchedule:
     def test_failure_grows_radius_every_step(self):
         # constant classifier: gradient is identically zero, never flips
         model = linear_victim_from_params(np.zeros((8, 2)), np.array([1.0, 0.0]))
-        cfg = InnerAttackConfig(steps=6, init_norm=0.1, gamma=0.05)
+        cfg = InnerAttackConfig(steps=6)
         res = ddn_minimal_perturbation(model, np.full(8, 0.5), cfg)
         assert not res.success
         assert res.l2_norm == 0.0
-        np.testing.assert_allclose(res.radius_trace, 0.1 * 1.05 ** np.arange(7), atol=1e-15)
+        np.testing.assert_allclose(res.radius_trace, 0.2 * 1.05 ** np.arange(7), atol=1e-15)
 
 
 class TestDeterminismAndVictim:

@@ -87,7 +87,7 @@ class TestTwoProportionZ:
 class TestAppliedPerturbation:
     def test_additive_path_is_clipped_difference(self):
         x = np.array([[0.9, 0.5, 0.1, 0.5, 0.5, 0.5, 0.5, 0.5]])
-        pert = Perturbation(np.full(8, 0.2), method="greedy", mode="untargeted")
+        pert = Perturbation(v_signal=np.full(8, 0.2), mode="untargeted")
         out = applied_perturbation(x, pert)
         np.testing.assert_allclose(out[0, 0], 0.1)  # clipped at 1
         np.testing.assert_allclose(out[0, 1:], 0.2)
@@ -97,13 +97,12 @@ class TestAppliedPerturbation:
 
         x = rng.uniform(0.2, 0.8, (3, 8))
         v_tanh = rng.normal(scale=0.4, size=8)
-        pert = Perturbation(np.zeros(8), method="penalty", mode="untargeted",
-                            v_tanh=v_tanh)
+        pert = Perturbation(v_tanh=v_tanh, mode="untargeted")
         out = applied_perturbation(x, pert)
         np.testing.assert_array_equal(out, perturbed_sample(to_tanh_space(x), v_tanh) - x)
 
     def test_dimension_mismatch(self):
-        pert = Perturbation(np.zeros(4), method="greedy", mode="untargeted")
+        pert = Perturbation(v_signal=np.zeros(4), mode="untargeted")
         with pytest.raises(InvalidInputError):
             applied_perturbation(np.zeros((2, 5)), pert)
 
@@ -114,7 +113,7 @@ class TestEvaluateUap:
         x, y = axis_samples()
         v = np.zeros(8)
         v[0] = -0.25  # pushes the 0.7 row across the threshold, 0.9 stays
-        pert = Perturbation(v, method="greedy", mode="untargeted")
+        pert = Perturbation(v_signal=v, mode="untargeted")
         report = evaluate_uap(model, (x, y), pert)
         assert report.test_asr == pytest.approx(0.25)
         assert len(report.rows) == 4
@@ -125,7 +124,7 @@ class TestEvaluateUap:
     def test_zero_perturbation_scores_zero(self):
         model = axis_model()
         x, y = axis_samples()
-        pert = Perturbation(np.zeros(8), method="greedy", mode="untargeted")
+        pert = Perturbation(v_signal=np.zeros(8), mode="untargeted")
         report = evaluate_uap(model, (x, y), pert)
         assert report.test_asr == 0.0
         assert np.isnan(report.mean_l_db)
@@ -138,7 +137,7 @@ class TestEvaluateUap:
         x, y = axis_samples()
         v = np.zeros(8)
         v[0] = 1.0  # saturates coordinate 0, everything classifies as 0
-        pert = Perturbation(v, method="greedy", mode="targeted", target=0)
+        pert = Perturbation(v_signal=v, mode="targeted", target=0)
         report = evaluate_uap(model, (x, y), pert)
         assert report.test_asr == 1.0
         assert report.mode == "targeted"
@@ -146,7 +145,7 @@ class TestEvaluateUap:
     def test_validation(self):
         model = axis_model()
         x, y = axis_samples()
-        pert = Perturbation(np.zeros(8), method="greedy", mode="untargeted")
+        pert = Perturbation(v_signal=np.zeros(8), mode="untargeted")
         with pytest.raises(InvalidInputError):
             evaluate_uap(model, (np.zeros((0, 8)), None), pert)
         with pytest.raises(InvalidInputError):
@@ -157,7 +156,7 @@ class TestEvaluateUap:
         x, y = axis_samples()
         v = np.zeros(8)
         v[0] = -0.25
-        pert = Perturbation(v, method="greedy", mode="untargeted")
+        pert = Perturbation(v_signal=v, mode="untargeted")
         report = evaluate_uap(model, (x, y), pert)
         f = tmp_path / "report.csv"
         report_to_csv(report, f)
@@ -224,7 +223,7 @@ class TestTransfer:
         models = [axis_model(), axis_model()]
         v = np.zeros(8)
         v[0] = -0.25
-        perts = [Perturbation(v, method="greedy", mode="untargeted") for _ in range(2)]
+        perts = [Perturbation(v_signal=v, mode="untargeted") for _ in range(2)]
         x, y = axis_samples()
         matrix = transfer_matrix(models, perts, (x, y), labels=["a", "b"])
         assert matrix.values.shape == (2, 2)
@@ -234,13 +233,13 @@ class TestTransfer:
 
     def test_default_labels(self):
         models = [axis_model(), axis_model()]
-        perts = [Perturbation(np.zeros(8), method="greedy", mode="untargeted")] * 2
+        perts = [Perturbation(v_signal=np.zeros(8), mode="untargeted")] * 2
         matrix = transfer_matrix(models, perts, axis_samples())
         assert matrix.labels == ["linear-0", "linear-1"]
 
     def test_csv_blank_diagonal(self, tmp_path):
         models = [axis_model(), axis_model()]
-        perts = [Perturbation(np.zeros(8), method="greedy", mode="untargeted")] * 2
+        perts = [Perturbation(v_signal=np.zeros(8), mode="untargeted")] * 2
         matrix = transfer_matrix(models, perts, axis_samples(), labels=["a", "b"])
         f = tmp_path / "t.csv"
         transfer_to_csv(matrix, f)
@@ -251,7 +250,7 @@ class TestTransfer:
 
     def test_validation(self):
         model = axis_model()
-        pert = Perturbation(np.zeros(8), method="greedy", mode="untargeted")
+        pert = Perturbation(v_signal=np.zeros(8), mode="untargeted")
         with pytest.raises(InvalidInputError):
             transfer_matrix([model], [pert], axis_samples())
         with pytest.raises(InvalidInputError):

@@ -44,7 +44,7 @@ def originals(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
     save_model(build_victim("rand-cnn", 1024, 3, seed=0), root / "model.uapc")
     v = np.linspace(-0.1, 0.1, 64)
-    save_perturbation(Perturbation(v, "penalty", "targeted", v_tanh=2 * v, target=1, p=2.0, xi=0.5),
+    save_perturbation(Perturbation(v_tanh=2 * v, mode="targeted", target=1, p=2.0, xi=0.5),
                       root / "pert.uapc")
     save_dataset_dir(generate_synthetic_dataset(2, 1, 128, seed=0, test_per_class=1), root / "data")
     files = _Files({p.name: p.read_bytes() for p in (root / "model.uapc", root / "pert.uapc")})

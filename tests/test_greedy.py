@@ -163,8 +163,7 @@ class TestGreedyLoop:
 
     def test_epoch_cap_without_convergence(self, victim, train_xy):
         x, _ = train_xy
-        cfg = GreedyConfig(max_epochs=1, delta=0.01,
-                           inner=InnerAttackConfig(steps=2, init_norm=1e-4))
+        cfg = GreedyConfig(max_epochs=1, delta=0.01, inner=InnerAttackConfig(steps=2))
         res = greedy_uap(victim, x[:20], cfg)
         assert len(res.asr_trace) - 1 == 1
         assert not res.converged or res.asr_trace[-1] >= 0.99
@@ -200,3 +199,5 @@ class TestGreedyLoop:
         assert pert.seed == 7 and pert.xi == 0.2 and np.isinf(pert.p)
         assert set(pert.params) == {"delta", "max_epochs", "inner_steps",
                                     "inner_init_norm", "inner_gamma"}
+        # the radius schedule is fixed; greedy files still record it
+        assert (pert.params["inner_init_norm"], pert.params["inner_gamma"]) == (0.2, 0.05)

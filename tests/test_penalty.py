@@ -16,6 +16,7 @@ from uapaudio import (
     train,
 )
 from uapaudio.audio import spl
+from uapaudio.optim import _EPS
 from uapaudio.penalty import _hinge_batch, _objective, _spl_gradient
 from uapaudio.tanhspace import perturbed_sample
 
@@ -242,7 +243,7 @@ class TestPenaltyLoop:
             e = np.zeros(d)
             e[j] = step
             g = (total_objective(e) - total_objective(-e)) / (2 * step)
-            expected = -adam.lr * g / (abs(g) + adam.eps)
+            expected = -adam.lr * g / (abs(g) + _EPS)
             assert v_after[j] == pytest.approx(expected, rel=1e-3)
 
     def test_spl_never_exceeds_objective_at_zero_kappa(self, victim, train_xy):
