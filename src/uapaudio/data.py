@@ -149,8 +149,8 @@ def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
     header, rows = read_csv(root / "labels.csv")
     if header != ["filename", "label", "split"]:
         raise FormatError("labels.csv must have columns filename,label,split")
-    samples: dict[str, list[np.ndarray]] = {name: [] for name in SPLITS}
     labels: dict[str, list[int]] = {name: [] for name in SPLITS}
+    reads = []  # (filename, split, row in the split): every row is checked before a WAV is read
     for row in rows:
         if len(row) != 3:
             raise FormatError(f"labels.csv row {row!r} needs 3 fields")
@@ -166,14 +166,19 @@ def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
                               f"{num_classes}-class dataset")
         if not (root / fname).is_file():
             raise FormatError(f"labels.csv names {fname!r}, which is not a file in {in_dir}")
+        reads.append((fname, split, len(labels[split])))
+        labels[split].append(label)
+    samples = {name: np.empty((0, dim)) for name in SPLITS}
+    for fname, split, i in reads:
         loaded = load_wav(root / fname)
         if len(loaded) != dim:
             raise FormatError(f"{fname}: length {len(loaded)} != dataset dim {dim}")
         if loaded.sample_rate != sample_rate:
             raise FormatError(f"{fname}: sample rate {loaded.sample_rate} != dataset rate {sample_rate}")
-        samples[split].append(loaded.samples)
-        labels[split].append(label)
+        if i == 0:  # allocated after a WAV has the manifest's dim, so a damaged dim allocates nothing
+            samples[split] = np.empty((len(labels[split]), dim))
+        samples[split][i] = loaded.samples
     return SyntheticDataset(
-        **{name: np.reshape(samples[name], (-1, dim)) for name in SPLITS},
+        **samples,
         labels={name: np.array(labels[name], dtype=np.int64) for name in SPLITS},
         num_classes=num_classes, dim=dim, sample_rate=sample_rate, seed=manifest.get("seed"))

@@ -21,7 +21,7 @@ from .container import write_csv
 from .ddn import attack_set, fooled
 from .exceptions import DegenerateVarianceError, InvalidInputError, UndefinedMetricError
 from .greedy import GreedyConfig, greedy_uap
-from .models import VictimModel
+from .models import VictimModel, _row_blocks
 from .penalty import PenaltyConfig, penalty_uap
 from .perturbation import Perturbation
 from .tanhspace import perturbed_sample, to_tanh_space
@@ -81,28 +81,31 @@ def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
                  pert: Perturbation) -> EvalReport:
     """Score a crafted perturbation against a model on an evaluation set.
 
-    testset is an (X, y) pair. Success is judged on predictions alone: the
-    labels y (None allowed) only have to be a 1-D array with one entry per
-    row of X (they stay in the report rows' implicit order and are not
-    consulted otherwise).
+    testset is an (X, y) pair. Success is judged on predictions alone: the labels y
+    (None allowed) only have to be a 1-D array with one entry per row of X (they stay
+    in the report rows' implicit order and are not consulted otherwise). Perturbed
+    rows exist one row block (_row_blocks) at a time, scored as the model takes them.
     """
     x, y = testset
     x, refs = attack_set(model, x, y, pert.mode, pert.target)
-    applied = applied_perturbation(x, pert)
     clean_preds = refs if pert.mode == "untargeted" else model.predict(x)
-    adv_preds = model.predict(x + applied)
+    scores = []  # each row's (snr_db, l_db)
 
-    rows = []
-    for i in range(x.shape[0]):
-        try:
-            l_db = rel_loudness(x[i], applied[i])
-        except UndefinedMetricError:
-            l_db = float("nan")
-        rows.append(EvalRow(i, int(clean_preds[i]), int(adv_preds[i]),
-                            snr(x[i], applied[i]), l_db))
+    def perturbed():
+        for (block,) in _row_blocks(x):
+            applied = applied_perturbation(block, pert)
+            for row, a in zip(block, applied):
+                try:
+                    l_db = rel_loudness(row, a)
+                except UndefinedMetricError:
+                    l_db = float("nan")
+                scores.append((snr(row, a), l_db))
+            yield block + applied
 
-    snrs = np.array([r.snr_db for r in rows])
-    l_dbs = np.array([r.l_db for r in rows])
+    adv_preds = np.argmax(model._logits(perturbed()), axis=1)
+    rows = [EvalRow(i, int(clean), int(adv), *score)
+            for i, (clean, adv, score) in enumerate(zip(clean_preds, adv_preds, scores))]
+    snrs, l_dbs = np.array(scores).T
     finite_l = l_dbs[np.isfinite(l_dbs)]
     return EvalReport(
         mode=pert.mode, method=pert.method, train_asr=pert.train_asr,

@@ -286,20 +286,22 @@ class VictimModel:
             caches.append(cache)
         return h, caches
 
-    def _front(self, batch: np.ndarray, stop: int) -> np.ndarray:
-        """layers[:stop] over a (rows, input_dim) batch, block by block (_row_blocks); a view if stop is 0.
+    def _front(self, rows, stop: int) -> np.ndarray:
+        """layers[:stop] over a (rows, input_dim) batch cut by _row_blocks, or over an iterable of
+        such blocks, one block at a time, stacked in order; a view of a batch if stop is 0.
 
         No block keeps a cache, so one block's temporaries (conv1's output above all)
         are alive at a time; a conv row has the same bits in a block of any size.
         """
-        if stop == 0:
-            return batch[:, :, None]
-        blocks = []
-        for (h,) in _row_blocks(batch[:, :, None]):
+        if isinstance(rows, np.ndarray):
+            rows = [rows] if stop == 0 else (block for (block,) in _row_blocks(rows))
+        out = []
+        for h in rows:
+            h = h[:, :, None]
             for layer in self.layers[:stop]:
                 h, _ = layer.forward(h)
-            blocks.append(h)
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            out.append(h)
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     def backward_input(self, caches: list, dlogits: np.ndarray) -> np.ndarray:
         dh = dlogits
@@ -325,17 +327,19 @@ class VictimModel:
         return grads
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        """The logits of forward_cached, float for float.
-
-        The layers before the first Flatten run through _front, at every batch size;
-        Flatten and the head run once on the whole batch, since OpenBLAS rounds a Dense
-        GEMM differently at many row counts (its edge tiles), 17 to 32 rows included.
-        """
+        """The logits of forward_cached, float for float (see _logits)."""
         batch, single = self._as_batch(x)
+        out = self._logits(batch)
+        return out[0] if single else out
+
+    def _logits(self, rows) -> np.ndarray:
+        """The logits of a checked batch or of its row blocks. The layers before the first Flatten
+        run through _front; Flatten and the head run once on all rows, since OpenBLAS rounds a Dense
+        GEMM differently at many row counts (its edge tiles), 17 to 32 rows included. A linear
+        victim has no such layer: its head reads iterated blocks stacked, two copies at the peak."""
         front = next((i for i, layer in enumerate(self.layers) if isinstance(layer, Flatten)),
                      len(self.layers))
-        out, _ = self._forward(self._front(batch, front), front)
-        return out[0] if single else out
+        return self._forward(self._front(rows, front), front)[0]
 
     def predict(self, x: np.ndarray) -> int | np.ndarray:
         out = self.logits(x)

@@ -22,10 +22,10 @@ from .exceptions import FormatError, InvalidInputError
 from .tanhspace import TANH_EPSILON, render_signal_v
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class Perturbation:
     mode: str  # "untargeted" | "targeted"
-    v_signal: np.ndarray | None = None  # greedy passes it; penalty's is rendered from v_tanh
+    v_signal: np.ndarray | None = None  # greedy's; penalty's is v_tanh's rendering, which replace() passes
     v_tanh: np.ndarray | None = None  # penalty passes it
     target: int | None = None
     p: float | None = None  # norm order of the crafting constraint (2 or inf)
@@ -35,16 +35,17 @@ class Perturbation:
     params: dict = field(default_factory=dict)  # method-specific settings
 
     def __post_init__(self) -> None:
-        if (self.v_signal is None) == (self.v_tanh is None):
-            raise InvalidInputError("a perturbation takes one vector: v_signal (greedy) or v_tanh (penalty)")
         v = np.asarray(self.v_signal if self.v_tanh is None else self.v_tanh, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise InvalidInputError("perturbation must be a non-empty 1-D vector")
+        if v.ndim != 1 or v.size == 0:  # None, when neither vector is given
+            raise InvalidInputError("a perturbation takes one vector, v_signal or v_tanh, non-empty and 1-D")
         if self.v_tanh is not None:
-            self.v_tanh, v = v, render_signal_v(v)  # refuses a non-finite carrier
+            object.__setattr__(self, "v_tanh", v)
+            v = render_signal_v(v)  # refuses a non-finite carrier
         if not np.all(np.isfinite(v)):
             raise InvalidInputError("perturbation must be finite")
-        self.v_signal = v
+        if self.v_tanh is not None and self.v_signal is not None and not np.array_equal(self.v_signal, v):
+            raise InvalidInputError("a perturbation takes one vector (v_tanh may come with its rendering)")
+        object.__setattr__(self, "v_signal", v)
         check_mode(self.mode, self.target)
 
     @property
@@ -95,6 +96,8 @@ def load_perturbation(path: str | Path) -> Perturbation:
     manifest, blobs = read_container(path)
     if manifest.get("kind") != "perturbation":
         raise FormatError(f"not a perturbation file: {path}")
+    if {"v_signal", "v_tanh"} <= blobs.keys():
+        raise FormatError(f"perturbation file {path} stores two vectors; a perturbation takes one vector")
     target, xi, seed = manifest.get("target"), manifest.get("xi"), manifest.get("seed")
     train_asr, params = manifest.get("train_asr"), manifest.get("params", {})
     for name, value in (("target", target), ("seed", seed)):

@@ -87,3 +87,10 @@ def test_one_function_renders_a_perturbations_signal_vector():
     assert _functions_where(lambda n: isinstance(n, ast.Call)
                             and getattr(n.func, "id", None) == "render_signal_v") \
         == ["penalty.penalty_uap", "perturbation.__post_init__"]
+
+
+def test_one_block_runner_calls_the_layers():
+    """Inference has one path: only _forward (a pass that keeps caches) and _front (row blocks,
+    keeping none) call a layer's forward, so no second runner can come back."""
+    assert _functions_where(lambda n: isinstance(n, ast.Call)
+                            and getattr(n.func, "attr", None) == "forward") == ["models._forward", "models._front"]

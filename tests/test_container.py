@@ -1,6 +1,7 @@
 """Artifact container format, CSV helpers, perturbation files."""
 
 import tempfile
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,25 @@ class TestPerturbation:
         with pytest.raises(InvalidInputError, match="no target class"):
             Perturbation(v_signal=np.zeros(4), mode="untargeted", target=5)
 
+    @pytest.mark.parametrize("method", ["greedy", "penalty"])
+    def test_replace_copies_and_fields_are_frozen(self, method, rng):
+        pert = self._make(rng, method=method)
+        copy = replace(pert, seed=3)
+        assert (copy.seed, copy.method, copy.mode, copy.xi, copy.params) == (3, method, "untargeted", 1.5, pert.params)
+        assert copy.v_signal.tobytes() == pert.v_signal.tobytes()
+        assert (copy.v_tanh is None) == (method == "greedy")
+        if method == "penalty":
+            assert copy.v_tanh.tobytes() == pert.v_tanh.tobytes()
+            # a new carrier beside the old rendering is two vectors; without it the copy renders its own
+            with pytest.raises(InvalidInputError, match="one vector"):
+                replace(pert, v_tanh=pert.v_tanh + 0.1)
+            moved = replace(pert, v_tanh=pert.v_tanh + 0.1, v_signal=None)
+            assert moved.v_signal.tobytes() == render_signal_v(pert.v_tanh + 0.1).tobytes()
+        with pytest.raises(FrozenInstanceError):
+            pert.v_tanh = np.zeros(32)
+        with pytest.raises(FrozenInstanceError):
+            pert.xi = 2.0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
     def test_non_finite_vectors_rejected(self, bad):
         with pytest.raises(InvalidInputError, match="perturbation must be finite"):
@@ -250,9 +270,7 @@ class TestPerturbation:
     def test_non_finite_xi_is_format_error(self, token, tmp_path, rng):
         # the JSON reader accepts these tokens; canonical JSON cannot write them
         f = tmp_path / "p.uapc"
-        pert = self._make(rng)
-        pert.xi = "########"
-        save_perturbation(pert, f)
+        save_perturbation(replace(self._make(rng), xi="########"), f)
         data = f.read_bytes()
         f.write_bytes(data.replace(b'"########"', token.ljust(10)))
         with pytest.raises(FormatError, match="xi"):

@@ -1,6 +1,7 @@
 """Synthetic band-tone dataset generation and directory round trips."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,3 +212,37 @@ class TestDirectoryRoundTrip:
         (tmp_path / "manifest.json").write_text(manifest)
         with pytest.raises(FormatError):
             load_dataset_dir(tmp_path)
+
+    def test_huge_manifest_dim_allocates_nothing(self, tmp_path):
+        # a split's array is allocated after a WAV has the manifest's dim: 2**40 is a length mismatch
+        save_dataset_dir(generate_synthetic_dataset(2, 1, 256, seed=0, test_per_class=0), tmp_path)
+        manifest = (tmp_path / "manifest.json").read_text().replace('"dim":256', f'"dim":{2**40}')
+        (tmp_path / "manifest.json").write_text(manifest)
+        with pytest.raises(FormatError, match=f"length 256 != dataset dim {2**40}"):
+            load_dataset_dir(tmp_path)
+
+    def test_rows_are_checked_before_any_wav_is_read(self, tmp_path):
+        # row 1 names a truncated WAV and row 3 holds a non-integer label: the label is refused
+        save_dataset_dir(generate_synthetic_dataset(2, 2, 256, seed=0, test_per_class=0), tmp_path)
+        labels = tmp_path / "labels.csv"
+        lines = labels.read_text().splitlines()
+        wav = tmp_path / lines[1].split(",")[0]
+        wav.write_bytes(wav.read_bytes()[:-10])
+        fname, _, split = lines[3].split(",")
+        lines[3] = f"{fname},three,{split}"
+        labels.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="label 'three' of .* is not an integer"):
+            load_dataset_dir(tmp_path)
+
+    def test_peak_memory_is_about_the_returned_arrays(self, tmp_path):
+        # each WAV goes straight into its split's one array: no list of per-file arrays to stack
+        save_dataset_dir(generate_synthetic_dataset(3, 100, 4096, seed=0, test_per_class=50), tmp_path)
+        load_dataset_dir(tmp_path)  # untraced: the first call pays one-time allocations
+        tracemalloc.start()
+        try:
+            loaded = load_dataset_dir(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for name in ("train", "val", "test") for a in loaded.arrays(name))
+        assert peak < 1.5 * returned

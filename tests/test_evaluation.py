@@ -1,15 +1,20 @@
 """Evaluation harness: reports, transfer, sweeps, significance test."""
 
+import tracemalloc
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from uapaudio import (
+    ARCHITECTURES,
     DegenerateVarianceError,
     GreedyConfig,
     InvalidInputError,
     PenaltyConfig,
     Perturbation,
     applied_perturbation,
+    build_victim,
     evaluate_uap,
     greedy_uap,
     load_model,
@@ -27,8 +32,10 @@ from uapaudio import (
     transfer_to_csv,
     two_proportion_z,
 )
+from uapaudio.audio import rel_loudness, snr
 from uapaudio.container import read_csv
 from uapaudio.evaluation import REPORT_COLUMNS
+from uapaudio.exceptions import UndefinedMetricError
 
 from oracles import linear_victim_from_params
 
@@ -164,6 +171,61 @@ class TestEvaluateUap:
         assert header == list(REPORT_COLUMNS)
         assert len(rows) == 4
         assert [float(r[3]) for r in rows] == [r.snr_db for r in report.rows]
+
+
+def _whole_batch_report(model, x, pert):
+    """evaluate_uap's rows and (test_asr, mean_snr_db, mean_l_db) from the whole perturbed batch at once."""
+    applied = applied_perturbation(x, pert)
+    clean, adv = model.predict(x), model.predict(x + applied)
+    rows = []
+    for i in range(len(x)):
+        try:
+            l_db = rel_loudness(x[i], applied[i])
+        except UndefinedMetricError:
+            l_db = float("nan")
+        rows.append((i, clean[i], adv[i], snr(x[i], applied[i]), l_db))
+    fooled = adv == pert.target if pert.mode == "targeted" else adv != clean
+    snrs, l_dbs = np.array([r[3] for r in rows]), np.array([r[4] for r in rows])
+    finite = l_dbs[np.isfinite(l_dbs)]
+    return rows, (np.mean(fooled), np.mean(snrs), np.mean(finite) if finite.size else float("nan"))
+
+
+class TestBlockwiseEvaluation:
+    """evaluate_uap perturbs and scores one row block at a time; every number is the whole batch's."""
+
+    @pytest.mark.parametrize("mode", ["untargeted", "targeted"])
+    @pytest.mark.parametrize("method", ["greedy", "penalty"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_equal_to_the_whole_batch(self, arch, method, mode):
+        model = build_victim(arch, 1024, 3, seed=2)
+        rng = np.random.default_rng(2)
+        x = rng.uniform(0, 1, (300, 1024))
+        x[::7] = 1.0  # nothing can be added to these rows, so their l_db is nan
+        vector = ({"v_signal": rng.uniform(-0.1, 0.1, 1024)} if method == "greedy"
+                  else {"v_tanh": rng.normal(0.0, 0.5, 1024)})
+        pert = Perturbation(mode=mode, target=1 if mode == "targeted" else None, **vector)
+        for n in (1, 31, 32, 33, 65, 300):
+            report = evaluate_uap(model, (x[:n], None), pert)
+            rows, summary = _whole_batch_report(model, x[:n], pert)
+            assert np.array([astuple(r) for r in report.rows]).tobytes() == np.array(rows, dtype=float).tobytes(), n
+            assert np.array([report.test_asr, report.mean_snr_db, report.mean_l_db]).tobytes() \
+                == np.array(summary).tobytes(), n
+            assert (report.mode, report.method, report.train_asr) == (mode, method, None)
+
+    def test_peak_memory_holds_no_perturbed_copy(self):
+        # 1,500 rows of d=4096 are 47 MiB; the perturbed rows exist 32 at a time
+        model = build_victim("rand-cnn", 4096, 3, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, (1500, 4096))
+        pert = Perturbation(v_tanh=rng.normal(0.0, 0.1, 4096), mode="untargeted")
+        evaluate_uap(model, (x, None), pert)  # untraced: the first call pays one-time allocations
+        tracemalloc.start()
+        try:
+            evaluate_uap(model, (x, None), pert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 4
 
 
 def _craft(model, x, method, mode):
