@@ -19,7 +19,7 @@ from .audio import (
     spl,
 )
 from .data import SyntheticDataset, generate_synthetic_dataset, load_dataset_dir, save_dataset_dir
-from .ddn import InnerAttackConfig, InnerAttackResult, ddn_minimal_perturbation
+from .ddn import CraftResult, InnerAttackConfig, InnerAttackResult, ddn_minimal_perturbation
 from .evaluation import (
     DATACOUNT_GRID,
     DEFAULT_ALPHA,
@@ -47,7 +47,7 @@ from .exceptions import (
     UapAudioError,
     UndefinedMetricError,
 )
-from .greedy import GreedyConfig, GreedyResult, asr, greedy_uap, project_lp
+from .greedy import GreedyConfig, asr, greedy_uap, project_lp
 from .models import (
     ARCHITECTURES,
     VictimModel,
@@ -58,7 +58,7 @@ from .models import (
     train,
 )
 from .optim import AdamState, adam_update
-from .penalty import PenaltyConfig, PenaltyResult, penalty_uap
+from .penalty import PenaltyConfig, penalty_uap
 from .perturbation import Perturbation, load_perturbation, save_perturbation
 from .tanhspace import TANH_EPSILON, perturbed_sample, render_signal_v, to_tanh_space
 
@@ -68,6 +68,7 @@ __all__ = [
     "ARCHITECTURES",
     "AdamState",
     "AudioSample",
+    "CraftResult",
     "DATACOUNT_GRID",
     "DEFAULT_ALPHA",
     "DEFAULT_SAMPLE_RATE",
@@ -76,14 +77,12 @@ __all__ = [
     "EvalRow",
     "FormatError",
     "GreedyConfig",
-    "GreedyResult",
     "InnerAttackConfig",
     "InnerAttackResult",
     "InvalidInputError",
     "KAPPA_GRID",
     "POWER_FLOOR",
     "PenaltyConfig",
-    "PenaltyResult",
     "Perturbation",
     "SyntheticDataset",
     "TANH_EPSILON",

@@ -190,7 +190,7 @@ def _cmd_craft(args: argparse.Namespace) -> int:
     save_perturbation(result.perturbation, out)
     _write_run_manifest(out, "craft", args, extra={
         "config": _jsonable(cfg), "converged": result.converged,
-        "train_asr": result.perturbation.train_asr, "iterations": len(result.asr_trace) - 1})
+        "train_asr": result.perturbation.train_asr, "iterations": result.iterations})
     print(f"wrote {out}: method={args.method} mode={args.mode} "
           f"train_asr={result.perturbation.train_asr:.4f} converged={result.converged}")
     return 0

@@ -9,13 +9,17 @@ always evaluated at clip(x + delta, 0, 1) so they honor the signal box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .audio import _check_labels, _check_samples, _count
 from .exceptions import InvalidInputError
 from .models import VictimModel, cross_entropy_grad
+
+if TYPE_CHECKING:  # perturbation imports this module
+    from .perturbation import Perturbation
 
 # cosine step-size schedule, from the first step's size down to the last one's
 _STEP_START, _STEP_END = 1.0, 0.01
@@ -65,13 +69,36 @@ def fooled(preds, mode: str, refs):
     return preds == refs if mode == "targeted" else preds != refs
 
 
-def stop_reason(asr_trace: list[float], delta: float, cap: int, floor: int = 0) -> str | None:
-    """Why a craft stops, given its full-set rates at the start and after each update:
-    "converged" at 1 - delta after at least floor updates, else "cap" after cap updates, else None."""
-    updates = len(asr_trace) - 1
-    if updates >= floor and asr_trace[-1] >= 1.0 - delta:
-        return "converged"
-    return "cap" if updates >= cap else None
+def craft_loop(iterates, check, delta: float, cap: int, floor: int = 0,
+               keep_best: bool = False) -> tuple[np.ndarray, list[float], bool]:
+    """Score each iterate with check, its full-set attack success rate, until the craft stops:
+    converged at 1 - delta after at least floor updates, else capped after cap updates.
+
+    iterates yields the start vector, then the iterate after each update; it is drawn only while
+    the craft goes on. Returns the kept iterate (the last, or with keep_best the best, ties to
+    the latest), the rates, and whether the craft converged."""
+    asr_trace: list[float] = []
+    for updates, v in enumerate(iterates):
+        asr_trace.append(rate := check(v))
+        if not keep_best or rate >= max(asr_trace):
+            kept = v
+        if updates >= floor and rate >= 1.0 - delta:
+            return kept, asr_trace, True
+        if updates >= cap:
+            return kept, asr_trace, False
+
+
+@dataclass
+class CraftResult:
+    perturbation: Perturbation
+    asr_trace: list[float]  # full-set rate at the start and after each update
+    converged: bool
+    trace: list[dict] = field(default_factory=list)  # penalty: one record per update
+    inner_calls: int = 0  # greedy: inner attacks run
+
+    @property
+    def iterations(self) -> int:
+        return len(self.asr_trace) - 1
 
 
 @dataclass

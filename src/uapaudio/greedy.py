@@ -3,7 +3,7 @@
 Walk the training set in a seeded shuffled order; for every sample the current
 universal perturbation does not already fool, find a minimal per-sample
 perturbation with the inner attack, add it to the aggregate and project back
-onto the Lp ball. Each walk is one update. The craft stops by ddn.stop_reason:
+onto the Lp ball. Each walk is one update. ddn.craft_loop stops the craft
 once the full-set attack success rate reaches 1 - delta, or at the update cap.
 """
 
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import _count
-from .ddn import (_GAMMA, _INIT_NORM, InnerAttackConfig, attack_set, check_mode, ddn_minimal_perturbation,
-                  fooled, stop_reason)
+from .ddn import (_GAMMA, _INIT_NORM, CraftResult, InnerAttackConfig, attack_set, check_mode, craft_loop,
+                  ddn_minimal_perturbation, fooled)
 from .exceptions import InvalidInputError
 from .models import VictimModel
 from .perturbation import Perturbation
@@ -40,14 +40,6 @@ class GreedyConfig:
         if self.xi is None:
             self.xi = 0.2 if self.mode == "untargeted" else 0.12
         _check_ball((self.p, self.xi))
-
-
-@dataclass
-class GreedyResult:
-    perturbation: Perturbation
-    asr_trace: list[float]  # full-set rate at the start and after each update
-    converged: bool
-    inner_calls: int
 
 
 def _check_ball(ball) -> None:
@@ -78,31 +70,31 @@ def asr(model: VictimModel, inputs: np.ndarray, mode: str, refs: np.ndarray) -> 
     return float(np.mean(fooled(model.predict(inputs), mode, refs)))
 
 
-def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> GreedyResult:
+def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> CraftResult:
     x, refs = attack_set(model, x, None, cfg.mode, cfg.target)
     m, d = x.shape
-
     rng = np.random.default_rng(cfg.seed)
-    v = np.zeros(d)
-    trace: list[float] = []
     inner_calls = 0
 
-    while True:
-        trace.append(asr(model, np.clip(x + v, 0.0, 1.0), cfg.mode, refs))
-        if (stop := stop_reason(trace, cfg.delta, cfg.max_epochs)) is not None:
-            break
-        for i in rng.permutation(m):
-            point = np.clip(x[i] + v, 0.0, 1.0)
-            if fooled(int(model.predict(point)), cfg.mode, refs[i]):
-                continue
-            result = ddn_minimal_perturbation(model, point, cfg.inner, cfg.mode, cfg.target)
-            inner_calls += 1
-            v = project_lp(v + result.delta, cfg.p, cfg.xi)
+    def walks():
+        nonlocal inner_calls
+        v = np.zeros(d)
+        while True:
+            yield v
+            for i in rng.permutation(m):
+                point = np.clip(x[i] + v, 0.0, 1.0)
+                if fooled(int(model.predict(point)), cfg.mode, refs[i]):
+                    continue
+                result = ddn_minimal_perturbation(model, point, cfg.inner, cfg.mode, cfg.target)
+                inner_calls += 1
+                v = project_lp(v + result.delta, cfg.p, cfg.xi)
 
+    v, trace, converged = craft_loop(walks(), lambda v: asr(model, np.clip(x + v, 0.0, 1.0), cfg.mode, refs),
+                                     cfg.delta, cfg.max_epochs)
     pert = Perturbation(
         v_signal=v, mode=cfg.mode, target=cfg.target,
         p=cfg.p, xi=cfg.xi, seed=cfg.seed, train_asr=trace[-1],
         params={"delta": cfg.delta, "max_epochs": cfg.max_epochs,
                 "inner_steps": cfg.inner.steps, "inner_init_norm": _INIT_NORM, "inner_gamma": _GAMMA},
     )
-    return GreedyResult(pert, trace, converged=stop == "converged", inner_calls=inner_calls)
+    return CraftResult(pert, trace, converged, inner_calls=inner_calls)

@@ -12,9 +12,9 @@ _objective is the one implementation of the objective and its gradient
 w.r.t. v': every update of the loop descends it, summed over a mini-batch and
 applied with Adam at AdamState's default settings (step size 0.01). The
 perturbed samples never need clipping because the squash keeps them strictly
-inside (0, 1). The craft stops by ddn.stop_reason: once the full-set attack
+inside (0, 1). ddn.craft_loop stops the craft once the full-set attack
 success rate reaches 1 - delta (after at least min_iters updates), or at the
-update cap.
+update cap, and keeps the iterate with the best rate.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import POWER_FLOOR, _count, rms_power, spl
-from .ddn import attack_set, check_mode, stop_reason
+from .ddn import CraftResult, attack_set, check_mode, craft_loop
 from .exceptions import InvalidInputError
 from .greedy import _check_ball, asr, project_lp
 from .models import VictimModel, _row_blocks
@@ -67,15 +67,6 @@ class PenaltyConfig:
             raise InvalidInputError("min_iters must lie in [0, max_iters]")
         if self.project is not None:
             _check_ball(self.project)
-
-
-@dataclass
-class PenaltyResult:
-    perturbation: Perturbation
-    asr_trace: list[float]  # full-set rate at the start and after each update
-    trace: list[dict]  # one record per update: least batch loss, SPL of v', hinge mean
-    converged: bool
-    iterations: int
 
 
 def _hinge_batch(logits: np.ndarray, refs: np.ndarray, kappa: float,
@@ -137,7 +128,7 @@ def _asr_tanh(model: VictimModel, x_tanh: np.ndarray, v_tanh: np.ndarray, mode: 
 
 
 def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
-                cfg: PenaltyConfig) -> PenaltyResult:
+                cfg: PenaltyConfig) -> CraftResult:
     """Craft a universal perturbation by penalty descent in tanh space.
 
     An untargeted attack escapes each sample's clean prediction: the hinge
@@ -151,43 +142,32 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
     x_tanh = to_tanh_space(x)
     batches = seeded_batches(m, cfg.batch_size, np.random.default_rng(cfg.seed))
     adam = AdamState()
-    v = np.zeros(d)
-    best_v = v
-    best_asr = -1.0
-
-    asr_trace: list[float] = []
     records: list[dict] = []
 
-    while True:
-        current = _asr_tanh(model, x_tanh, v, cfg.mode, refs)
-        asr_trace.append(current)
-        if current >= best_asr:  # ties keep the latest (deepest) iterate
-            best_asr, best_v = current, v
-        if (stop := stop_reason(asr_trace, cfg.delta, cfg.max_iters, cfg.min_iters)) is not None:
-            break
+    def updates(adam):
+        v = np.zeros(d)
+        while True:
+            yield v
+            batch = next(batches)
+            spl_v, hinges, grad = _objective(model, x_tanh[batch], v, refs[batch], cfg.c, cfg.kappa, cfg.mode)
+            records.append({"loss_min": float(np.min(spl_v + cfg.c * hinges)),
+                            "hinge_mean": float(np.mean(hinges)), "spl_vprime": spl_v})
+            step, adam = adam_update(adam, grad)
+            v = v + step
+            if cfg.project is not None:
+                centered = render_signal_v(v) - 0.5
+                projected = project_lp(centered, *cfg.project)
+                if not np.array_equal(projected, centered):
+                    v = to_tanh_space(projected + 0.5)
 
-        batch = next(batches)
-        spl_v, hinges, grad = _objective(model, x_tanh[batch], v, refs[batch], cfg.c, cfg.kappa, cfg.mode)
-        records.append({
-            "loss_min": float(np.min(spl_v + cfg.c * hinges)),
-            "hinge_mean": float(np.mean(hinges)),
-            "spl_vprime": spl_v,
-        })
-        step, adam = adam_update(adam, grad)
-        v = v + step
-        if cfg.project is not None:
-            p, xi = cfg.project
-            centered = render_signal_v(v) - 0.5
-            projected = project_lp(centered, p, xi)
-            if not np.array_equal(projected, centered):
-                v = to_tanh_space(projected + 0.5)
-
+    best_v, asr_trace, converged = craft_loop(updates(adam), lambda v: _asr_tanh(model, x_tanh, v, cfg.mode, refs),
+                                              cfg.delta, cfg.max_iters, cfg.min_iters, keep_best=True)
     pert = Perturbation(
-        v_tanh=best_v, mode=cfg.mode, target=cfg.target, seed=cfg.seed, train_asr=best_asr,
+        v_tanh=best_v, mode=cfg.mode, target=cfg.target, seed=cfg.seed, train_asr=max(asr_trace),
         p=(cfg.project[0] if cfg.project else None),
         xi=(cfg.project[1] if cfg.project else None),
         params={"c": cfg.c, "kappa": cfg.kappa, "S": cfg.batch_size, "lr": adam.lr,
                 "epsilon": TANH_EPSILON,
                 "projection": ([_encode_p(cfg.project[0]), cfg.project[1]] if cfg.project else None)},
     )
-    return PenaltyResult(pert, asr_trace, records, stop == "converged", len(asr_trace) - 1)
+    return CraftResult(pert, asr_trace, converged, trace=records)

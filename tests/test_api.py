@@ -43,7 +43,7 @@ def test_every_module_level_definition_has_a_caller_outside_tests():
     """A module-level function or class that only tests use belongs in the tests.
 
     Result fields are left out: a field is output for the caller, and some have
-    only test readers on purpose, such as PenaltyResult.trace and
+    only test readers on purpose, such as CraftResult.trace and
     InnerAttackResult.l2_norm, which criteria 3 and 4 read.
     """
     root = Path(__file__).resolve().parent.parent
@@ -56,14 +56,23 @@ def test_every_module_level_definition_has_a_caller_outside_tests():
 
 
 def _functions_where(test) -> list[str]:
-    """Each function of the package, as module.name, with a syntax node inside it that passes test."""
+    """Each function of the package, as module.name, holding a syntax node that passes test.
+
+    A node counts for the innermost function around it only, so a nested
+    function's nodes are not also reported under the functions that enclose it.
+    """
     root = Path(__file__).resolve().parent.parent
-    found = []
-    for path in sorted((root / "src" / "uapaudio").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.FunctionDef) and any(test(n) for n in ast.walk(node)):
-                found.append(f"{path.stem}.{node.name}")
-    return found
+    found = set()
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if function and test(child):
+                found.add(f"{module}.{function}")
+            visit(child, module, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    for path in (root / "src" / "uapaudio").glob("*.py"):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    return sorted(found)
 
 
 def test_one_function_reads_the_row_block_size():
@@ -73,20 +82,26 @@ def test_one_function_reads_the_row_block_size():
 
 
 def test_one_function_states_the_success_threshold():
-    """The stopping rule is stated once: only ddn.stop_reason subtracts a delta (the 1 - delta threshold)."""
+    """The stopping rule is stated once: only ddn.craft_loop subtracts a delta (the 1 - delta threshold)."""
     def subtracts_delta(n):
         return (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
                 and "delta" in (getattr(n.right, "id", None), getattr(n.right, "attr", None)))
 
-    assert _functions_where(subtracts_delta) == ["ddn.stop_reason"]
+    assert _functions_where(subtracts_delta) == ["ddn.craft_loop"]
+
+
+def test_one_function_builds_an_asr_trace():
+    """Both crafts run one loop: only ddn.craft_loop appends to an asr_trace."""
+    assert _functions_where(lambda n: isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "append"
+                            and getattr(n.func.value, "id", None) == "asr_trace") == ["ddn.craft_loop"]
 
 
 def test_one_function_renders_a_perturbations_signal_vector():
     """A perturbation's signal-space vector is rendered once, when it is built; the
-    other call is penalty's projection step, which works on the iterate."""
+    other call is penalty's projection step, in the generator of its updates."""
     assert _functions_where(lambda n: isinstance(n, ast.Call)
                             and getattr(n.func, "id", None) == "render_signal_v") \
-        == ["penalty.penalty_uap", "perturbation.__post_init__"]
+        == ["penalty.updates", "perturbation.__post_init__"]
 
 
 def test_one_block_runner_calls_the_layers():

@@ -120,7 +120,7 @@ class TestPipeline:
 
         def spy(model, x, cfg):
             result = greedy_uap(model, x, cfg)
-            epochs.append((cfg.max_epochs, len(result.asr_trace) - 1))
+            epochs.append((cfg.max_epochs, result.iterations))
             return result
 
         monkeypatch.setattr(evaluation, "greedy_uap", spy)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uapaudio import InnerAttackConfig, InvalidInputError, ddn_minimal_perturbation
-from uapaudio.ddn import check_mode, fooled, stop_reason
+from uapaudio.ddn import check_mode, craft_loop, fooled
 
 from oracles import linear_victim_from_params
 
@@ -69,8 +69,31 @@ class TestSuccessPredicate:
 ], ids=["delta-one-at-start", "at-one-minus-delta", "floor-defers", "floor-reached", "converged-beats-cap",
         "cap", "between", "start"])
 def test_stop_reason(asr_trace, delta, cap, floor, reason):
-    """Converged at 1 - delta once floor updates have run, else cap after cap updates, else go on."""
-    assert stop_reason(asr_trace, delta, cap, floor) == reason
+    """Converged at 1 - delta once floor updates have run, else cap after cap updates, else go on.
+
+    The iterates are the rates themselves, scored by float. A craft that goes on
+    draws one iterate past the trace, which raises GoOn here."""
+    class GoOn(Exception):
+        pass
+
+    def iterates():
+        yield from asr_trace
+        raise GoOn
+
+    if reason is None:
+        with pytest.raises(GoOn):
+            craft_loop(iterates(), float, delta, cap, floor)
+        return
+    kept, trace, converged = craft_loop(iterates(), float, delta, cap, floor)
+    assert converged == (reason == "converged")
+    assert trace == asr_trace and kept == asr_trace[-1]  # the whole trace, and no iterate past it
+
+
+def test_craft_loop_keeps_the_best_iterate_with_ties_to_the_latest():
+    rates = [0.1, 0.5, 0.2, 0.5, 0.3]
+    kept, trace, converged = craft_loop(iter(range(5)), lambda k: rates[k], 0.1, 4, keep_best=True)
+    assert (kept, trace, converged) == (3, rates, False)
+    assert craft_loop(iter(range(5)), lambda k: rates[k], 0.1, 4)[0] == 4  # by default, the last
 
 
 class TestHyperplaneOracle:

@@ -10,9 +10,11 @@ from uapaudio import (
     InnerAttackConfig,
     InvalidInputError,
     asr,
+    build_victim,
     ddn_minimal_perturbation,
     greedy_uap,
     project_lp,
+    train,
 )
 
 from oracles import linear_victim_from_params
@@ -167,6 +169,17 @@ class TestGreedyLoop:
         res = greedy_uap(victim, x[:20], cfg)
         assert len(res.asr_trace) - 1 == 1
         assert not res.converged or res.asr_trace[-1] >= 0.99
+
+    def test_capped_craft_keeps_its_last_iterate(self, bandtone_ds, train_xy):
+        # on this linear victim the rate falls after its first walk: the capped craft still keeps the last
+        model = build_victim("linear", bandtone_ds.dim, bandtone_ds.num_classes, seed=0)
+        train(model, bandtone_ds, epochs=25, seed=0)
+        x, _ = train_xy
+        res = greedy_uap(model, x[::6], GreedyConfig(max_epochs=3, seed=1, inner=InnerAttackConfig(steps=5)))
+        assert not res.converged and res.iterations == 3
+        assert res.perturbation.train_asr == res.asr_trace[-1] < max(res.asr_trace)
+        kept = np.clip(x[::6] + res.perturbation.v_signal, 0.0, 1.0)
+        assert asr(model, kept, "untargeted", model.predict(x[::6])) == res.asr_trace[-1]
 
     def test_targeted_craft_takes_its_goal_from_the_craft(self, victim, train_xy):
         # the inner config carries no goal of its own: naming it changes nothing

@@ -267,6 +267,18 @@ class TestPenaltyLoop:
 
         assert evaluate_uap(victim, test_xy, res.perturbation).test_asr >= 0.8
 
+    def test_capped_craft_keeps_its_best_iterate(self, victim, train_xy):
+        # at the default c this craft's best rate comes early (0.044 after update 1) and then falls
+        x, y = train_xy
+        res = penalty_uap(victim, x, y, PenaltyConfig(max_iters=6))
+        rates = res.asr_trace
+        best = max(range(len(rates)), key=lambda k: (rates[k], k))  # ties go to the latest
+        assert not res.converged and 0 < best < res.iterations == 6
+        assert res.perturbation.train_asr == rates[best] > rates[-1]
+        # the kept vector is the iterate after update `best`: a craft capped there ends on it
+        rerun = penalty_uap(victim, x, y, PenaltyConfig(max_iters=best))
+        assert rerun.perturbation.v_tanh.tobytes() == res.perturbation.v_tanh.tobytes()
+
     def test_single_sample_flips_itself(self, victim, train_xy):
         x, y = train_xy
         i = 0
