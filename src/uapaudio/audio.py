@@ -2,7 +2,8 @@
 
 Signals are unipolar floats in [0, 1], the input range the victim models are
 trained on. PCM integers map into that range on load and back with rounding on
-save, so a load -> save cycle is byte identical.
+save, so a load -> save cycle is byte identical. The loudness metrics reduce over
+the last axis: a (rows, d) block gives each row's value, bit for bit its vector's.
 """
 
 from __future__ import annotations
@@ -72,50 +73,53 @@ class AudioSample:
         return int(self.samples.size)
 
 
-def rms_power(v: np.ndarray) -> float:
-    """Root mean square of a signal vector."""
+def _per_row(r) -> float | np.ndarray:
+    """A last-axis reduction: a float for a vector, one value per row for a block."""
+    return float(r) if np.ndim(r) == 0 else r
+
+
+def rms_power(v: np.ndarray) -> float | np.ndarray:
+    """Root mean square over the last axis: a float for a vector, one value per row for a block."""
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise InvalidInputError("rms of an empty vector is undefined")
-    return float(np.sqrt(np.mean(np.square(v))))
+    return _per_row(np.sqrt(np.mean(np.square(v), axis=-1)))
 
 
-def spl(v: np.ndarray) -> float:
-    """Sound pressure level in dB: 20*log10(rms), floored at POWER_FLOOR."""
-    return float(20.0 * np.log10(max(rms_power(v), POWER_FLOOR)))
+def spl(v: np.ndarray) -> float | np.ndarray:
+    """Sound pressure level in dB, 20*log10(rms) floored at POWER_FLOOR, over the last axis."""
+    return _per_row(20.0 * np.log10(np.maximum(rms_power(v), POWER_FLOOR)))
 
 
-def snr(x: np.ndarray, v: np.ndarray) -> float:
-    """Signal-to-noise ratio in dB of signal x against perturbation v."""
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if x.shape != v.shape:
+def snr(x: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Signal-to-noise ratio in dB of signal x against perturbation v, row by row for blocks."""
+    if np.shape(x) != np.shape(v):
         raise InvalidInputError("snr requires equal-length vectors")
     return spl(x) - spl(v)
 
 
-def _peak_db(v: np.ndarray) -> float:
-    # peak over strictly positive entries only; log10 of <= 0 is undefined
+def _peak_db(v: np.ndarray) -> float | np.ndarray:
+    # peak over strictly positive entries only (log10 of <= 0 is undefined): NaN for a block row with none
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise InvalidInputError("peak level of an empty vector is undefined")
-    positive = v[v > 0.0]
-    if positive.size == 0:
+    peak = np.fmax.reduce(v, axis=-1)  # skips NaN; when positive, it is the positive entries' peak
+    if np.ndim(peak) == 0 and not peak > 0.0:
         raise UndefinedMetricError("no strictly positive entries")
-    return float(20.0 * np.log10(positive.max()))
+    return _per_row(20.0 * np.log10(peak, out=np.full(np.shape(peak), np.nan), where=peak > 0.0))
 
 
-def rel_loudness(x: np.ndarray, v: np.ndarray) -> float:
-    """Peak level of v minus peak level of x, in dB.
+def rel_loudness(x: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Peak level of v minus peak level of x, in dB, row by row for blocks.
 
-    An audibility proxy close in spirit to the l-infinity norm: how far below
-    the signal's loudest sample the perturbation's loudest sample sits.
+    An audibility proxy close in spirit to the l-infinity norm: how far below the signal's
+    loudest sample the perturbation's loudest sample sits (NaN for a block row without a peak).
     """
     return _peak_db(v) - _peak_db(x)
 
 
-def load_wav(path: str | Path) -> AudioSample:
-    """Read a mono 16-bit PCM WAV into [0, 1] via s -> (s/32768 + 1)/2."""
+def _read_pcm(path: str | Path) -> tuple[np.ndarray, int]:
+    """A mono 16-bit PCM WAV's samples as int16, and its sample rate."""
     try:
         with wave.open(str(path), "rb") as fh:
             channels = fh.getnchannels()
@@ -134,11 +138,22 @@ def load_wav(path: str | Path) -> AudioSample:
     pcm = np.frombuffer(raw, dtype="<i2")
     if pcm.size == 0:
         raise FormatError("empty WAV file")
-    x = (pcm.astype(np.float64) / 32768.0 + 1.0) / 2.0
     try:
-        return AudioSample(samples=x, sample_rate=rate)
-    except InvalidInputError as exc:  # PCM samples always fit, so the header's rate is at fault
+        return pcm, _check_sample_rate(rate)
+    except InvalidInputError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def _decode(pcm: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """16-bit PCM into [0, 0.99998] by s -> (s/32768 + 1)/2, exactly, in place in out when given."""
+    out = np.divide(pcm, 32768.0, out=out)
+    return np.divide(np.add(out, 1.0, out=out), 2.0, out=out)
+
+
+def load_wav(path: str | Path) -> AudioSample:
+    """Read a mono 16-bit PCM WAV into [0, 1] (see _decode)."""
+    pcm, rate = _read_pcm(path)
+    return AudioSample(samples=_decode(pcm), sample_rate=rate)
 
 
 def save_wav(sample: AudioSample, path: str | Path) -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import DEFAULT_SAMPLE_RATE, AudioSample, _check_sample_rate, _count, load_wav, save_wav
+from .audio import DEFAULT_SAMPLE_RATE, AudioSample, _check_sample_rate, _count, _decode, _read_pcm, save_wav
 from .container import canonical_json, read_csv, write_csv
 from .exceptions import FormatError, InvalidInputError
 
@@ -130,6 +130,7 @@ def save_dataset_dir(dataset: SyntheticDataset, out_dir: str | Path) -> None:
 
 
 def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
+    """Check every labels.csv row, then decode each WAV straight into its row of its split's one array."""
     root = Path(in_dir)
     try:
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
@@ -150,7 +151,7 @@ def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
     if header != ["filename", "label", "split"]:
         raise FormatError("labels.csv must have columns filename,label,split")
     labels: dict[str, list[int]] = {name: [] for name in SPLITS}
-    reads = []  # (filename, split, row in the split): every row is checked before a WAV is read
+    reads = []  # (filename, path, split, row in the split): every row is checked before a WAV is read
     for row in rows:
         if len(row) != 3:
             raise FormatError(f"labels.csv row {row!r} needs 3 fields")
@@ -164,20 +165,21 @@ def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
         if not 0 <= label < num_classes:
             raise FormatError(f"labels.csv: label {label} of {fname} is not a class of this "
                               f"{num_classes}-class dataset")
-        if not (root / fname).is_file():
+        path = root / fname
+        if not path.is_file():
             raise FormatError(f"labels.csv names {fname!r}, which is not a file in {in_dir}")
-        reads.append((fname, split, len(labels[split])))
+        reads.append((fname, path, split, len(labels[split])))
         labels[split].append(label)
     samples = {name: np.empty((0, dim)) for name in SPLITS}
-    for fname, split, i in reads:
-        loaded = load_wav(root / fname)
-        if len(loaded) != dim:
-            raise FormatError(f"{fname}: length {len(loaded)} != dataset dim {dim}")
-        if loaded.sample_rate != sample_rate:
-            raise FormatError(f"{fname}: sample rate {loaded.sample_rate} != dataset rate {sample_rate}")
+    for fname, path, split, i in reads:
+        pcm, rate = _read_pcm(path)
+        if pcm.size != dim:
+            raise FormatError(f"{fname}: length {pcm.size} != dataset dim {dim}")
+        if rate != sample_rate:
+            raise FormatError(f"{fname}: sample rate {rate} != dataset rate {sample_rate}")
         if i == 0:  # allocated after a WAV has the manifest's dim, so a damaged dim allocates nothing
             samples[split] = np.empty((len(labels[split]), dim))
-        samples[split][i] = loaded.samples
+        _decode(pcm, out=samples[split][i])
     return SyntheticDataset(
         **samples,
         labels={name: np.array(labels[name], dtype=np.int64) for name in SPLITS},

@@ -69,18 +69,17 @@ def fooled(preds, mode: str, refs):
     return preds == refs if mode == "targeted" else preds != refs
 
 
-def craft_loop(iterates, check, delta: float, cap: int, floor: int = 0,
-               keep_best: bool = False) -> tuple[np.ndarray, list[float], bool]:
+def craft_loop(iterates, check, delta: float, cap: int, floor: int = 0) -> tuple[np.ndarray, list[float], bool]:
     """Score each iterate with check, its full-set attack success rate, until the craft stops:
     converged at 1 - delta after at least floor updates, else capped after cap updates.
 
     iterates yields the start vector, then the iterate after each update; it is drawn only while
-    the craft goes on. Returns the kept iterate (the last, or with keep_best the best, ties to
-    the latest), the rates, and whether the craft converged."""
+    the craft goes on. Returns the kept iterate (the best, ties to the latest), the rates, and
+    whether the craft converged."""
     asr_trace: list[float] = []
     for updates, v in enumerate(iterates):
         asr_trace.append(rate := check(v))
-        if not keep_best or rate >= max(asr_trace):
+        if rate >= max(asr_trace):
             kept = v
         if updates >= floor and rate >= 1.0 - delta:
             return kept, asr_trace, True

@@ -5,7 +5,9 @@ sample is fooled when the perturbed prediction differs from the unperturbed
 one) and against the target class for targeted attacks. Loudness metrics are
 computed on the applied perturbation, i.e. what is actually added to each
 sample after box handling: squash(x' + v') - x for the penalty method,
-clip(x + v) - x for the greedy method.
+clip(x + v) - x for the greedy method. They are taken one row block at a
+time, one audio.snr and one audio.rel_loudness call per block; a row whose
+peak ratio is undefined gets a NaN loudness.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .audio import _whole, rel_loudness, snr
 from .container import write_csv
 from .ddn import attack_set, fooled
-from .exceptions import DegenerateVarianceError, InvalidInputError, UndefinedMetricError
+from .exceptions import DegenerateVarianceError, InvalidInputError
 from .greedy import GreedyConfig, greedy_uap
 from .models import VictimModel, _row_blocks
 from .penalty import PenaltyConfig, penalty_uap
@@ -89,23 +91,19 @@ def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
     x, y = testset
     x, refs = attack_set(model, x, y, pert.mode, pert.target)
     clean_preds = refs if pert.mode == "untargeted" else model.predict(x)
-    scores = []  # each row's (snr_db, l_db)
+    snrs, l_dbs = [], []  # one array per row block
 
     def perturbed():
         for (block,) in _row_blocks(x):
             applied = applied_perturbation(block, pert)
-            for row, a in zip(block, applied):
-                try:
-                    l_db = rel_loudness(row, a)
-                except UndefinedMetricError:
-                    l_db = float("nan")
-                scores.append((snr(row, a), l_db))
+            snrs.append(snr(block, applied))
+            l_dbs.append(rel_loudness(block, applied))
             yield block + applied
 
     adv_preds = np.argmax(model._logits(perturbed()), axis=1)
-    rows = [EvalRow(i, int(clean), int(adv), *score)
-            for i, (clean, adv, score) in enumerate(zip(clean_preds, adv_preds, scores))]
-    snrs, l_dbs = np.array(scores).T
+    snrs, l_dbs = np.concatenate(snrs), np.concatenate(l_dbs)
+    rows = [EvalRow(i, int(clean), int(adv), snr_db, l_db) for i, (clean, adv, snr_db, l_db)
+            in enumerate(zip(clean_preds, adv_preds, snrs.tolist(), l_dbs.tolist()))]
     finite_l = l_dbs[np.isfinite(l_dbs)]
     return EvalReport(
         mode=pert.mode, method=pert.method, train_asr=pert.train_asr,

@@ -3,8 +3,8 @@
 Walk the training set in a seeded shuffled order; for every sample the current
 universal perturbation does not already fool, find a minimal per-sample
 perturbation with the inner attack, add it to the aggregate and project back
-onto the Lp ball. Each walk is one update. ddn.craft_loop stops the craft
-once the full-set attack success rate reaches 1 - delta, or at the update cap.
+onto the Lp ball. Each walk is one update. ddn.craft_loop stops the craft once
+the full-set attack success rate reaches 1 - delta, or at the cap; it keeps the best walk.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> CraftRes
                                      cfg.delta, cfg.max_epochs)
     pert = Perturbation(
         v_signal=v, mode=cfg.mode, target=cfg.target,
-        p=cfg.p, xi=cfg.xi, seed=cfg.seed, train_asr=trace[-1],
+        p=cfg.p, xi=cfg.xi, seed=cfg.seed, train_asr=max(trace),
         params={"delta": cfg.delta, "max_epochs": cfg.max_epochs,
                 "inner_steps": cfg.inner.steps, "inner_init_norm": _INIT_NORM, "inner_gamma": _GAMMA},
     )

@@ -161,7 +161,7 @@ def penalty_uap(model: VictimModel, x: np.ndarray, y: np.ndarray | None,
                     v = to_tanh_space(projected + 0.5)
 
     best_v, asr_trace, converged = craft_loop(updates(adam), lambda v: _asr_tanh(model, x_tanh, v, cfg.mode, refs),
-                                              cfg.delta, cfg.max_iters, cfg.min_iters, keep_best=True)
+                                              cfg.delta, cfg.max_iters, cfg.min_iters)
     pert = Perturbation(
         v_tanh=best_v, mode=cfg.mode, target=cfg.target, seed=cfg.seed, train_asr=max(asr_trace),
         p=(cfg.project[0] if cfg.project else None),

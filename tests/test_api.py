@@ -109,3 +109,10 @@ def test_one_block_runner_calls_the_layers():
     keeping none) call a layer's forward, so no second runner can come back."""
     assert _functions_where(lambda n: isinstance(n, ast.Call)
                             and getattr(n.func, "attr", None) == "forward") == ["models._forward", "models._front"]
+
+
+def test_one_function_takes_each_db_level():
+    """Each dB formula is written once: only audio.spl (20 log10 of the RMS) and audio._peak_db
+    (20 log10 of the peak) take a log10, so no caller, evaluation included, keeps its own copy."""
+    assert _functions_where(lambda n: isinstance(n, ast.Call)
+                            and getattr(n.func, "attr", None) == "log10") == ["audio._peak_db", "audio.spl"]

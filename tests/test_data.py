@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+import wave
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from uapaudio import (
     save_dataset_dir,
     save_wav,
 )
-from uapaudio.data import AM_CYCLES, TONE_AMPLITUDE, band_edges, class_template
+from uapaudio.container import read_csv
+from uapaudio.data import AM_CYCLES, TONE_AMPLITUDE, SPLITS, band_edges, class_template
 
 
 def band_power_ratio(x: np.ndarray, lo: float, hi: float) -> float:
@@ -212,6 +214,38 @@ class TestDirectoryRoundTrip:
         (tmp_path / "manifest.json").write_text(manifest)
         with pytest.raises(FormatError):
             load_dataset_dir(tmp_path)
+
+    def test_rows_are_the_bytes_of_load_wav(self, tmp_path):
+        # each WAV is decoded straight into its split's array by load_wav's one rule, PCM extremes included
+        ds = generate_synthetic_dataset(3, 4, 256, seed=1, val_per_class=1, test_per_class=2)
+        save_dataset_dir(ds, tmp_path)
+        pcm = np.random.default_rng(1).integers(-32768, 32768, 256).astype("<i2")
+        pcm[:2] = -32768, 32767
+        with wave.open(str(tmp_path / "val_01_00001.wav"), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(16000)
+            fh.writeframes(pcm.tobytes())
+        loaded = load_dataset_dir(tmp_path)
+        _, rows = read_csv(tmp_path / "labels.csv")
+        row_of = {name: iter(loaded.arrays(name)[0]) for name in SPLITS}
+        for fname, _, split in rows:
+            assert next(row_of[split]).tobytes() == load_wav(tmp_path / fname).samples.tobytes(), fname
+        low, high = loaded.val[1][:2]
+        assert low == 0.0 and high == 0.5 + 32767 / 65536 < 1.0
+
+    def test_length_and_rate_messages_name_the_file(self, tmp_path):
+        save_dataset_dir(generate_synthetic_dataset(2, 1, 256, seed=0, test_per_class=0), tmp_path)
+        wav = tmp_path / "train_01_00001.wav"
+        save_wav(AudioSample(load_wav(wav).samples, sample_rate=8000), wav)
+        with pytest.raises(FormatError) as err:
+            load_dataset_dir(tmp_path)
+        assert str(err.value) == "train_01_00001.wav: sample rate 8000 != dataset rate 16000"
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(manifest.read_text().replace('"dim":256', '"dim":255'))
+        with pytest.raises(FormatError) as err:
+            load_dataset_dir(tmp_path)
+        assert str(err.value) == "train_00_00000.wav: length 256 != dataset dim 255"
 
     def test_huge_manifest_dim_allocates_nothing(self, tmp_path):
         # a split's array is allocated after a WAV has the manifest's dim: 2**40 is a length mismatch

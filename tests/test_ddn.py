@@ -91,9 +91,8 @@ def test_stop_reason(asr_trace, delta, cap, floor, reason):
 
 def test_craft_loop_keeps_the_best_iterate_with_ties_to_the_latest():
     rates = [0.1, 0.5, 0.2, 0.5, 0.3]
-    kept, trace, converged = craft_loop(iter(range(5)), lambda k: rates[k], 0.1, 4, keep_best=True)
+    kept, trace, converged = craft_loop(iter(range(5)), lambda k: rates[k], 0.1, 4)
     assert (kept, trace, converged) == (3, rates, False)
-    assert craft_loop(iter(range(5)), lambda k: rates[k], 0.1, 4)[0] == 4  # by default, the last
 
 
 class TestHyperplaneOracle:

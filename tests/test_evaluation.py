@@ -35,6 +35,7 @@ from uapaudio import (
 from uapaudio.audio import rel_loudness, snr
 from uapaudio.container import read_csv
 from uapaudio.evaluation import REPORT_COLUMNS
+from uapaudio.models import _row_blocks
 from uapaudio.exceptions import UndefinedMetricError
 
 from oracles import linear_victim_from_params
@@ -226,6 +227,33 @@ class TestBlockwiseEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes / 4
+
+
+class TestRowOracle:
+    """Each row's snr_db and l_db are the one-row metrics of that row's applied perturbation, bit for bit."""
+
+    @pytest.mark.parametrize("vector", ["greedy", "penalty", "zero"])
+    def test_rows_equal_the_one_row_metrics(self, vector):
+        model = build_victim("linear", 512, 3, seed=0)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0, 1, (70, 512))
+        x[5] = 1.0  # no applied entry can be positive: l_db is nan
+        assert [len(block) for (block,) in _row_blocks(x)] == [24, 23, 23]
+        pert = Perturbation(mode="untargeted", **{
+            "greedy": {"v_signal": rng.uniform(-0.1, 0.1, 512)},
+            "penalty": {"v_tanh": rng.normal(0.0, 0.5, 512)},
+            "zero": {"v_signal": np.zeros(512)},  # every row's perturbation sits at the SPL floor
+        }[vector])
+        report = evaluate_uap(model, (x, None), pert)
+        assert len(report.rows) == 70 and np.isnan(report.rows[5].l_db)
+        for row, xi in zip(report.rows, x):
+            (applied,) = applied_perturbation(xi, pert)
+            try:
+                l_db = rel_loudness(xi, applied)
+            except UndefinedMetricError:
+                l_db = float("nan")
+            assert np.float64(row.snr_db).tobytes() == np.float64(snr(xi, applied)).tobytes(), row
+            assert np.float64(row.l_db).tobytes() == np.float64(l_db).tobytes(), row
 
 
 def _craft(model, x, method, mode):

@@ -170,16 +170,16 @@ class TestGreedyLoop:
         assert len(res.asr_trace) - 1 == 1
         assert not res.converged or res.asr_trace[-1] >= 0.99
 
-    def test_capped_craft_keeps_its_last_iterate(self, bandtone_ds, train_xy):
-        # on this linear victim the rate falls after its first walk: the capped craft still keeps the last
+    def test_capped_craft_keeps_its_best_walk(self, bandtone_ds, train_xy):
+        # on this linear victim the rate falls after its first walk: the capped craft keeps that walk
         model = build_victim("linear", bandtone_ds.dim, bandtone_ds.num_classes, seed=0)
         train(model, bandtone_ds, epochs=25, seed=0)
         x, _ = train_xy
         res = greedy_uap(model, x[::6], GreedyConfig(max_epochs=3, seed=1, inner=InnerAttackConfig(steps=5)))
         assert not res.converged and res.iterations == 3
-        assert res.perturbation.train_asr == res.asr_trace[-1] < max(res.asr_trace)
+        assert res.perturbation.train_asr == max(res.asr_trace) > res.asr_trace[-1]
         kept = np.clip(x[::6] + res.perturbation.v_signal, 0.0, 1.0)
-        assert asr(model, kept, "untargeted", model.predict(x[::6])) == res.asr_trace[-1]
+        assert asr(model, kept, "untargeted", model.predict(x[::6])) == max(res.asr_trace)
 
     def test_targeted_craft_takes_its_goal_from_the_craft(self, victim, train_xy):
         # the inner config carries no goal of its own: naming it changes nothing
