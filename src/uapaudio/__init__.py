@@ -19,7 +19,7 @@ from .audio import (
     spl,
 )
 from .data import SyntheticDataset, generate_synthetic_dataset, load_dataset_dir, save_dataset_dir
-from .ddn import CraftResult, InnerAttackConfig, InnerAttackResult, ddn_minimal_perturbation
+from .ddn import CraftResult, InnerAttackResult, ddn_minimal_perturbation
 from .evaluation import (
     DATACOUNT_GRID,
     DEFAULT_ALPHA,
@@ -77,7 +77,6 @@ __all__ = [
     "EvalRow",
     "FormatError",
     "GreedyConfig",
-    "InnerAttackConfig",
     "InnerAttackResult",
     "InvalidInputError",
     "KAPPA_GRID",

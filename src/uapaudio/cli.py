@@ -93,21 +93,11 @@ def _write_run_manifest(artifact: Path, command: str, args: argparse.Namespace,
     target.write_bytes(canonical_json(manifest) + b"\n")
 
 
-def _parse_p(text: str) -> float:
-    return np.inf if text == "inf" else float(text)
-
-
 def _parse_grid(text: str) -> list[float]:
     try:
         return [float(t) for t in text.split(",") if t.strip() != ""]
     except ValueError as exc:
         raise InvalidInputError(f"bad grid {text!r}") from exc
-
-
-def _warn_unconverged(result, method: str, model_path: str) -> None:
-    if not result.converged:
-        print(f"warning: {method} craft on {model_path} did not converge "
-              f"(train_asr={result.perturbation.train_asr:.4f})", file=sys.stderr)
 
 
 # command-line flag -> config field; a flag that a command lacks or leaves unset keeps the config default
@@ -126,13 +116,28 @@ def _config(cls: type, args: argparse.Namespace, **fields):
     return cls(**fields)
 
 
-def _craft_subset(x: np.ndarray, y: np.ndarray, m: int | None, seed: int):
-    if m is None or m >= x.shape[0]:
-        return x, y
-    if m < 1:
-        raise InvalidInputError("crafting subset size must be >= 1")
-    idx = _seeded_subset(x.shape[0], m, seed)
-    return x[idx], y[idx]
+def _crafting_sets(args: argparse.Namespace):
+    """--data's train split, or its seeded subset of --m samples, and its test split, as (x, y) pairs."""
+    dataset = load_dataset_dir(args.data)
+    x, y = dataset.arrays("train")
+    if args.m is not None and args.m < x.shape[0]:
+        if args.m < 1:
+            raise InvalidInputError("crafting subset size must be >= 1")
+        idx = _seeded_subset(x.shape[0], args.m, args.seed)
+        x, y = x[idx], y[idx]
+    return (x, y), dataset.arrays("test")
+
+
+def _craft(args: argparse.Namespace, model, x: np.ndarray, y: np.ndarray, model_path: str, **fields):
+    """Craft on (x, y) by --method, its config from _config and fields, and warn when the
+    craft did not converge. Returns the config and the CraftResult."""
+    greedy = args.method == "greedy"
+    cfg = _config(GreedyConfig if greedy else PenaltyConfig, args, **fields)
+    result = greedy_uap(model, x, cfg) if greedy else penalty_uap(model, x, y, cfg)
+    if not result.converged:
+        print(f"warning: {args.method} craft on {model_path} did not converge "
+              f"(train_asr={result.perturbation.train_asr:.4f})", file=sys.stderr)
+    return cfg, result
 
 
 # -- subcommands -------------------------------------------------------------
@@ -173,18 +178,10 @@ def _cmd_train_victim(args: argparse.Namespace) -> int:
 
 def _cmd_craft(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    dataset = load_dataset_dir(args.data)
-    x, y = dataset.arrays("train")
-    x, y = _craft_subset(x, y, args.m, args.seed)
-
-    if args.method == "greedy":
-        cfg = _config(GreedyConfig, args, p=_parse_p(args.p))
-        result = greedy_uap(model, x, cfg)
-    else:
-        project = (2.0, args.project_l2) if args.project_l2 is not None else None
-        cfg = _config(PenaltyConfig, args, project=project)
-        result = penalty_uap(model, x, y, cfg)
-    _warn_unconverged(result, args.method, args.model)
+    (x, y), _ = _crafting_sets(args)
+    fields = ({"p": float(args.p)} if args.method == "greedy"  # "inf" parses to inf
+              else {"project": (2.0, args.project_l2) if args.project_l2 is not None else None})
+    cfg, result = _craft(args, model, x, y, args.model, **fields)
 
     out = Path(args.out)
     save_perturbation(result.perturbation, out)
@@ -212,9 +209,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    dataset = load_dataset_dir(args.data)
-    x, _ = _craft_subset(*dataset.arrays("train"), args.m, args.seed)
-    testset = dataset.arrays("test")
+    (x, _), testset = _crafting_sets(args)
     out = Path(args.out)
 
     if args.what == "confidence":
@@ -237,19 +232,8 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
     if len(paths) < 2:
         raise InvalidInputError("transfer needs at least 2 model paths")
     models = [load_model(p) for p in paths]
-    dataset = load_dataset_dir(args.data)
-    x, y = dataset.arrays("train")
-    x, y = _craft_subset(x, y, args.m, args.seed)
-    testset = dataset.arrays("test")
-
-    perts = []
-    for model, path in zip(models, paths):
-        if args.method == "greedy":
-            result = greedy_uap(model, x, _config(GreedyConfig, args))
-        else:
-            result = penalty_uap(model, x, y, _config(PenaltyConfig, args))
-        _warn_unconverged(result, args.method, path)
-        perts.append(result.perturbation)
+    (x, y), testset = _crafting_sets(args)
+    perts = [_craft(args, model, x, y, path)[1].perturbation for model, path in zip(models, paths)]
 
     labels = [Path(p).stem for p in paths]
     if len(set(labels)) != len(labels):  # stems may collide; fall back to full paths

@@ -73,6 +73,13 @@ def write_container(path: str | Path, manifest: dict, blobs: dict[str, np.ndarra
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _int_or_null(manifest: dict, key: str, where: str) -> int | None:
+    """A stored manifest's entry key, which must be an integer or null (an absent entry reads as null)."""
+    if not ((value := manifest.get(key)) is None or type(value) is int):  # bool is refused too
+        raise FormatError(f"{where}: {key} must be an integer or null, got {value!r}")
+    return value
+
+
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     data = Path(path).read_bytes()
     if data[: len(MAGIC)] == b"UAPC0001":

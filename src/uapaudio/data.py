@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import DEFAULT_SAMPLE_RATE, AudioSample, _check_sample_rate, _count, _decode, _read_pcm, save_wav
-from .container import canonical_json, read_csv, write_csv
+from .container import _int_or_null, canonical_json, read_csv, write_csv
 from .exceptions import FormatError, InvalidInputError
 
 SPLITS = ("train", "val", "test")
@@ -147,6 +147,7 @@ def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
         _check_sample_rate(sample_rate)
     except InvalidInputError as exc:
         raise FormatError(f"dataset manifest in {in_dir}: {exc}") from exc
+    seed = _int_or_null(manifest, "seed", f"dataset manifest in {in_dir}")
     header, rows = read_csv(root / "labels.csv")
     if header != ["filename", "label", "split"]:
         raise FormatError("labels.csv must have columns filename,label,split")
@@ -183,4 +184,4 @@ def load_dataset_dir(in_dir: str | Path) -> SyntheticDataset:
     return SyntheticDataset(
         **samples,
         labels={name: np.array(labels[name], dtype=np.int64) for name in SPLITS},
-        num_classes=num_classes, dim=dim, sample_rate=sample_rate, seed=manifest.get("seed"))
+        num_classes=num_classes, dim=dim, sample_rate=sample_rate, seed=seed)

@@ -101,14 +101,6 @@ class CraftResult:
 
 
 @dataclass
-class InnerAttackConfig:
-    steps: int = 50
-
-    def __post_init__(self) -> None:
-        self.steps = _count(self.steps, 1, "steps")
-
-
-@dataclass
 class InnerAttackResult:
     delta: np.ndarray
     success: bool
@@ -116,10 +108,11 @@ class InnerAttackResult:
     radius_trace: np.ndarray  # initial radius followed by one entry per step
 
 
-def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttackConfig,
+def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, steps: int = 50,
                              mode: str = "untargeted", target: int | None = None) -> InnerAttackResult:
-    """Smallest-L2 additive perturbation that fools the victim on the single sample x:
-    it escapes the victim's prediction of x (untargeted) or reaches target (targeted)."""
+    """Smallest-L2 additive perturbation, searched for over `steps` steps, that fools the victim on the
+    single sample x: it escapes the victim's prediction of x (untargeted) or reaches target (targeted)."""
+    steps = _count(steps, 1, "steps")
     if np.ndim(x) != 1:
         raise InvalidInputError("inner attack expects a single sample")
     (x,), (ref,) = attack_set(model, x, None, mode, target)
@@ -131,7 +124,7 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
     best_norm = np.inf
 
     # steps + 1 evaluations: the last one scores the final projected iterate
-    for k in range(cfg.steps + 1):
+    for k in range(steps + 1):
         point = np.clip(x + delta, 0.0, 1.0)
         logits, caches = model.forward_cached(point)
         is_adv = fooled(int(np.argmax(logits[0])), mode, ref)
@@ -139,10 +132,10 @@ def ddn_minimal_perturbation(model: VictimModel, x: np.ndarray, cfg: InnerAttack
             norm = float(np.linalg.norm(delta))
             if norm < best_norm:
                 best, best_norm = delta, norm
-        if k == cfg.steps:
+        if k == steps:
             break
 
-        alpha = _STEP_END + 0.5 * (_STEP_START - _STEP_END) * (1.0 + np.cos(np.pi * k / cfg.steps))
+        alpha = _STEP_END + 0.5 * (_STEP_START - _STEP_END) * (1.0 + np.cos(np.pi * k / steps))
         # cross-entropy gradient about the reference class at the current point
         grad = model.backward_input(caches, cross_entropy_grad(logits, [ref]))[0]
         gnorm = float(np.linalg.norm(grad))

@@ -18,7 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .audio import _whole, rel_loudness, snr
+from .audio import _count, _whole, rel_loudness, snr
 from .container import write_csv
 from .ddn import attack_set, fooled
 from .exceptions import DegenerateVarianceError, InvalidInputError
@@ -141,6 +141,9 @@ def transfer_matrix(models: list[VictimModel], perts: list[Perturbation],
         raise InvalidInputError("transfer needs at least 2 models")
     if len(perts) != len(models):
         raise InvalidInputError("one perturbation per source model required")
+    labels = [f"{m.arch}-{k}" for k, m in enumerate(models)] if labels is None else list(labels)
+    if len(labels) != len(models):
+        raise InvalidInputError(f"{len(labels)} labels for {len(models)} models; give one label per model")
     dims = {m.input_dim for m in models}
     if len(dims) != 1:
         raise InvalidInputError("models must share an input dimension")
@@ -151,9 +154,7 @@ def transfer_matrix(models: list[VictimModel], perts: list[Perturbation],
             if i == j:
                 continue
             values[i, j] = evaluate_uap(victim, testset, pert).test_asr
-    if labels is None:
-        labels = [f"{m.arch}-{k}" for k, m in enumerate(models)]
-    return TransferMatrix(values, list(labels))
+    return TransferMatrix(values, labels)
 
 
 def transfer_to_csv(matrix: TransferMatrix, path: str | Path) -> None:
@@ -171,8 +172,7 @@ def two_proportion_z(p_l: float, p_h: float, m: int,
     """
     if not 0.0 <= p_l <= p_h <= 1.0:
         raise InvalidInputError("need 0 <= p_l <= p_h <= 1")
-    if not 1 <= m < np.inf:  # NaN fails too
-        raise InvalidInputError("m must be finite and >= 1")
+    m = _count(m, 1, "m")
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError("alpha must lie in (0, 1)")
     pooled = (p_l + p_h) / 2.0

@@ -9,12 +9,12 @@ the full-set attack success rate reaches 1 - delta, or at the cap; it keeps the 
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import _count
-from .ddn import (_GAMMA, _INIT_NORM, CraftResult, InnerAttackConfig, attack_set, check_mode, craft_loop,
+from .ddn import (_GAMMA, _INIT_NORM, CraftResult, attack_set, check_mode, craft_loop,
                   ddn_minimal_perturbation, fooled)
 from .exceptions import InvalidInputError
 from .models import VictimModel
@@ -30,13 +30,14 @@ class GreedyConfig:
     delta: float = 0.1  # residual fooling tolerance
     max_epochs: int = 100
     seed: int = 0
-    inner: InnerAttackConfig = field(default_factory=InnerAttackConfig)
+    inner_steps: int = 50
 
     def __post_init__(self) -> None:
         check_mode(self.mode, self.target)
         if not 0.0 < self.delta <= 1.0:
             raise InvalidInputError("delta must lie in (0, 1]")
         self.max_epochs = _count(self.max_epochs, 1, "max_epochs")
+        self.inner_steps = _count(self.inner_steps, 1, "inner_steps")
         if self.xi is None:
             self.xi = 0.2 if self.mode == "untargeted" else 0.12
         _check_ball((self.p, self.xi))
@@ -85,7 +86,7 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> CraftRes
                 point = np.clip(x[i] + v, 0.0, 1.0)
                 if fooled(int(model.predict(point)), cfg.mode, refs[i]):
                     continue
-                result = ddn_minimal_perturbation(model, point, cfg.inner, cfg.mode, cfg.target)
+                result = ddn_minimal_perturbation(model, point, cfg.inner_steps, cfg.mode, cfg.target)
                 inner_calls += 1
                 v = project_lp(v + result.delta, cfg.p, cfg.xi)
 
@@ -95,6 +96,6 @@ def greedy_uap(model: VictimModel, x: np.ndarray, cfg: GreedyConfig) -> CraftRes
         v_signal=v, mode=cfg.mode, target=cfg.target,
         p=cfg.p, xi=cfg.xi, seed=cfg.seed, train_asr=max(trace),
         params={"delta": cfg.delta, "max_epochs": cfg.max_epochs,
-                "inner_steps": cfg.inner.steps, "inner_init_norm": _INIT_NORM, "inner_gamma": _GAMMA},
+                "inner_steps": cfg.inner_steps, "inner_init_norm": _INIT_NORM, "inner_gamma": _GAMMA},
     )
     return CraftResult(pert, trace, converged, inner_calls=inner_calls)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import DEFAULT_SAMPLE_RATE, _check_labels, _check_sample_rate, _count
-from .container import read_container, write_container
+from .container import _int_or_null, read_container, write_container
 from .exceptions import FormatError, InvalidInputError
 from .optim import AdamState, adam_update, seeded_batches
 
@@ -505,7 +505,7 @@ def load_model(path: str | Path) -> VictimModel:
                 setattr(layer, name, blob)
     except KeyError as exc:
         raise FormatError(f"model checkpoint {path} has no entry {exc}") from exc
-    model.seed = manifest.get("seed")
+    model.seed = _int_or_null(manifest, "seed", f"model checkpoint {path}")
     return model
 
 

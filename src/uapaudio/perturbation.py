@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import spl
-from .container import read_container, write_container
+from .container import _int_or_null, read_container, write_container
 from .ddn import check_mode
 from .exceptions import FormatError, InvalidInputError
 from .tanhspace import TANH_EPSILON, render_signal_v
@@ -98,11 +98,8 @@ def load_perturbation(path: str | Path) -> Perturbation:
         raise FormatError(f"not a perturbation file: {path}")
     if {"v_signal", "v_tanh"} <= blobs.keys():
         raise FormatError(f"perturbation file {path} stores two vectors; a perturbation takes one vector")
-    target, xi, seed = manifest.get("target"), manifest.get("xi"), manifest.get("seed")
-    train_asr, params = manifest.get("train_asr"), manifest.get("params", {})
-    for name, value in (("target", target), ("seed", seed)):
-        if not (value is None or type(value) is int):
-            raise FormatError(f"perturbation file {path}: {name} must be an integer or null, got {value!r}")
+    target, seed = (_int_or_null(manifest, key, f"perturbation file {path}") for key in ("target", "seed"))
+    xi, train_asr, params = manifest.get("xi"), manifest.get("train_asr"), manifest.get("params", {})
     if not (xi is None or type(xi) in (int, float) and 0.0 < xi < np.inf):
         raise FormatError(f"perturbation file {path}: xi must be a positive finite number or null, got {xi!r}")
     if not (train_asr is None or type(train_asr) in (int, float) and 0.0 <= train_asr <= 1.0):

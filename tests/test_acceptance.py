@@ -12,7 +12,6 @@ import pytest
 
 from uapaudio import (
     GreedyConfig,
-    InnerAttackConfig,
     PenaltyConfig,
     build_victim,
     ddn_minimal_perturbation,
@@ -151,7 +150,6 @@ def test_criterion_4_linear_oracles():
     """DDN norm within 5% of hyperplane distance; greedy aligns with the
     normal within 10 degrees."""
     rng = np.random.default_rng(0)
-    cfg = InnerAttackConfig(steps=60)
     for _ in range(100):
         d = 32
         w = rng.normal(size=d)
@@ -159,7 +157,7 @@ def test_criterion_4_linear_oracles():
         margin = float(rng.uniform(0.05, 0.35))
         b = margin * np.linalg.norm(w) - w @ x
         model = linear_victim_from_params(np.column_stack([w, -w]), np.array([b, -b]))
-        res = ddn_minimal_perturbation(model, x, cfg)
+        res = ddn_minimal_perturbation(model, x, steps=60)
         assert res.success
         assert res.l2_norm <= 1.05 * margin
         assert res.l2_norm >= margin * (1.0 - 1e-9)

@@ -116,3 +116,15 @@ def test_one_function_takes_each_db_level():
     (20 log10 of the peak) take a log10, so no caller, evaluation included, keeps its own copy."""
     assert _functions_where(lambda n: isinstance(n, ast.Call)
                             and getattr(n.func, "attr", None) == "log10") == ["audio._peak_db", "audio.spl"]
+
+
+def test_one_crafting_path_in_the_cli():
+    """craft, sweep and transfer share one path: in the CLI only _craft names a crafting method, and
+    only _crafting_sets loads a crafting set (train-victim and evaluate load the data they need)."""
+    def cli_functions_naming(*names):
+        return [f for f in _functions_where(lambda n: isinstance(n, ast.Name) and n.id in names)
+                if f.startswith("cli.")]
+
+    assert cli_functions_naming("greedy_uap", "penalty_uap") == ["cli._craft"]
+    assert cli_functions_naming("load_dataset_dir") == ["cli._cmd_evaluate", "cli._cmd_train_victim",
+                                                        "cli._crafting_sets"]

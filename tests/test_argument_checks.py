@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from uapaudio import (
     GreedyConfig,
-    InnerAttackConfig,
     InvalidInputError,
     PenaltyConfig,
     Perturbation,
@@ -47,6 +46,7 @@ BAD_FIELDS = [
     (GreedyConfig, "xi", not_positive),
     (GreedyConfig, "delta", not_unit_interval),
     (GreedyConfig, "max_epochs", bad_count(1)),
+    (GreedyConfig, "inner_steps", bad_count(1)),
     (GreedyConfig, "p", st.sampled_from([np.nan, -np.inf, 0.0, 1.0, 3.0])),
     (PenaltyConfig, "c", not_positive),
     (PenaltyConfig, "kappa", negative),
@@ -54,7 +54,6 @@ BAD_FIELDS = [
     (PenaltyConfig, "batch_size", bad_count(1)),
     (PenaltyConfig, "max_iters", bad_count(1)),
     (PenaltyConfig, "min_iters", bad_count(0) | st.integers(min_value=101)),  # max_iters is 100
-    (InnerAttackConfig, "steps", bad_count(1)),
 ]
 
 
@@ -66,14 +65,20 @@ def test_config_rejects_non_finite_and_out_of_range(cls, name, bad, data):
         cls(**{name: value})
 
 
-COUNT_FIELDS = [(GreedyConfig, "max_epochs"), (PenaltyConfig, "batch_size"), (PenaltyConfig, "max_iters"),
-                (PenaltyConfig, "min_iters"), (InnerAttackConfig, "steps")]
+COUNT_FIELDS = [(GreedyConfig, "max_epochs"), (GreedyConfig, "inner_steps"), (PenaltyConfig, "batch_size"),
+                (PenaltyConfig, "max_iters"), (PenaltyConfig, "min_iters")]
 
 
 @pytest.mark.parametrize("cls,name", COUNT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in COUNT_FIELDS])
 def test_config_keeps_a_whole_float_count_as_an_int(cls, name):
     value = getattr(cls(**{name: 3.0}), name)
     assert value == 3 and type(value) is int
+
+
+@given(steps=bad_count(1))
+def test_inner_attack_rejects_a_bad_step_count(steps):
+    with pytest.raises(InvalidInputError, match="steps"):
+        ddn_minimal_perturbation(build_victim("linear", 256, 2), np.full(256, 0.5), steps=steps)
 
 
 def test_penalty_projection_rejects_non_finite_radius():
@@ -94,7 +99,7 @@ def test_projection_rejects_non_finite_and_non_positive_radius(p, xi):
         project_lp(np.ones(3), p, xi)
 
 
-@given(m=below(1))
+@given(m=bad_count(1) | st.just(874.5))
 def test_z_test_rejects_non_finite_and_non_positive_count(m):
     with pytest.raises(InvalidInputError):
         two_proportion_z(0.4, 0.6, m)
@@ -161,8 +166,7 @@ class TestNonFiniteSamples:
 
     def test_ddn(self, bad):
         with pytest.raises(InvalidInputError):
-            ddn_minimal_perturbation(build_victim("linear", 256, 2), self._samples(bad)[1],
-                                     InnerAttackConfig())
+            ddn_minimal_perturbation(build_victim("linear", 256, 2), self._samples(bad)[1])
 
     def test_tanh_space(self, bad):
         with pytest.raises(InvalidInputError):
@@ -181,7 +185,7 @@ class TestNonFiniteSamples:
 _LINEAR = build_victim("linear", 256, 2)
 # the four callers of the one sample check, each given a 3 x 256 batch
 SAMPLE_CALLERS = {
-    "ddn": lambda x: ddn_minimal_perturbation(_LINEAR, x[1], InnerAttackConfig()),
+    "ddn": lambda x: ddn_minimal_perturbation(_LINEAR, x[1]),
     "evaluate": lambda x: evaluate_uap(_LINEAR, (x, None),
                                        Perturbation(v_signal=np.zeros(256), mode="untargeted")),
     "greedy": lambda x: greedy_uap(_LINEAR, x, GreedyConfig()),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uapaudio import InnerAttackConfig, InvalidInputError, ddn_minimal_perturbation
+from uapaudio import InvalidInputError, ddn_minimal_perturbation
 from uapaudio.ddn import check_mode, craft_loop, fooled
 
 from oracles import linear_victim_from_params
@@ -15,22 +15,21 @@ def two_class_model(w, b):
 
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
+        model, x = two_class_model(np.ones(8), 0.0), np.full(8, 0.5)
         with pytest.raises(InvalidInputError):
-            InnerAttackConfig(steps=0)
-        model, x, cfg = two_class_model(np.ones(8), 0.0), np.full(8, 0.5), InnerAttackConfig()
+            ddn_minimal_perturbation(model, x, steps=0)
         with pytest.raises(InvalidInputError, match="target class"):
-            ddn_minimal_perturbation(model, x, cfg, "targeted")
+            ddn_minimal_perturbation(model, x, mode="targeted")
         for target in (2, -1):  # the model has classes 0 and 1
             with pytest.raises(InvalidInputError, match="not a class"):
-                ddn_minimal_perturbation(model, x, cfg, "targeted", target)
+                ddn_minimal_perturbation(model, x, mode="targeted", target=target)
 
     def test_rejects_bad_samples(self, rng):
         model = two_class_model(rng.normal(size=8), 0.0)
-        cfg = InnerAttackConfig(steps=2)
         with pytest.raises(InvalidInputError):
-            ddn_minimal_perturbation(model, np.full((2, 8), 0.5), cfg)
+            ddn_minimal_perturbation(model, np.full((2, 8), 0.5), steps=2)
         with pytest.raises(InvalidInputError):
-            ddn_minimal_perturbation(model, np.full(8, 1.5), cfg)
+            ddn_minimal_perturbation(model, np.full(8, 1.5), steps=2)
 
 
 class TestSuccessPredicate:
@@ -99,7 +98,6 @@ class TestHyperplaneOracle:
     def test_norm_within_five_percent_of_distance(self, rng):
         # for a linear two-class model the optimal L2 flip norm is the
         # point-to-hyperplane distance |w.x + b| / ||w||
-        cfg = InnerAttackConfig(steps=60)
         for _ in range(20):
             d = 32
             w = rng.normal(size=d)
@@ -108,7 +106,7 @@ class TestHyperplaneOracle:
             b = margin * np.linalg.norm(w) - w @ x
             model = two_class_model(w, b)
             assert model.predict(x) == 0
-            res = ddn_minimal_perturbation(model, x, cfg)
+            res = ddn_minimal_perturbation(model, x, steps=60)
             assert res.success
             assert model.predict(np.clip(x + res.delta, 0.0, 1.0)) == 1
             assert res.l2_norm <= 1.05 * margin
@@ -118,9 +116,8 @@ class TestHyperplaneOracle:
         w = rng.normal(size=(16, 3))
         model = linear_victim_from_params(w, np.zeros(3))
         x = rng.uniform(0.3, 0.7, 16)
-        cfg = InnerAttackConfig(steps=40)
         for target in range(3):
-            res = ddn_minimal_perturbation(model, x, cfg, "targeted", target)
+            res = ddn_minimal_perturbation(model, x, steps=40, mode="targeted", target=target)
             assert res.success
             assert model.predict(np.clip(x + res.delta, 0.0, 1.0)) == target
 
@@ -128,15 +125,13 @@ class TestHyperplaneOracle:
 class TestRadiusSchedule:
     def test_trace_shape_and_start(self, rng):
         model = two_class_model(rng.normal(size=8), 0.1)
-        cfg = InnerAttackConfig(steps=13)
-        res = ddn_minimal_perturbation(model, rng.uniform(0.3, 0.7, 8), cfg)
+        res = ddn_minimal_perturbation(model, rng.uniform(0.3, 0.7, 8), steps=13)
         assert res.radius_trace.shape == (14,)
         assert res.radius_trace[0] == 0.2
 
     def test_every_step_scales_by_gamma(self, rng):
         model = two_class_model(rng.normal(size=8), 0.1)
-        cfg = InnerAttackConfig(steps=25)
-        res = ddn_minimal_perturbation(model, rng.uniform(0.3, 0.7, 8), cfg)
+        res = ddn_minimal_perturbation(model, rng.uniform(0.3, 0.7, 8), steps=25)
         trace = res.radius_trace
         for k in range(len(trace) - 1):
             assert trace[k + 1] in (trace[k] * 0.95, trace[k] * 1.05)
@@ -144,8 +139,7 @@ class TestRadiusSchedule:
     def test_failure_grows_radius_every_step(self):
         # constant classifier: gradient is identically zero, never flips
         model = linear_victim_from_params(np.zeros((8, 2)), np.array([1.0, 0.0]))
-        cfg = InnerAttackConfig(steps=6)
-        res = ddn_minimal_perturbation(model, np.full(8, 0.5), cfg)
+        res = ddn_minimal_perturbation(model, np.full(8, 0.5), steps=6)
         assert not res.success
         assert res.l2_norm == 0.0
         np.testing.assert_allclose(res.radius_trace, 0.2 * 1.05 ** np.arange(7), atol=1e-15)
@@ -156,23 +150,21 @@ class TestDeterminismAndVictim:
         w = rng.normal(size=(16, 3))
         model = linear_victim_from_params(w, np.zeros(3))
         x = rng.uniform(0.3, 0.7, 16)
-        cfg = InnerAttackConfig(steps=30)
-        a = ddn_minimal_perturbation(model, x, cfg)
-        b = ddn_minimal_perturbation(model, x, cfg)
+        a = ddn_minimal_perturbation(model, x, steps=30)
+        b = ddn_minimal_perturbation(model, x, steps=30)
         np.testing.assert_array_equal(a.delta, b.delta)
         np.testing.assert_array_equal(a.radius_trace, b.radius_trace)
 
     def test_flips_trained_cnn_predictions(self, victim, test_xy):
         x, _ = test_xy
-        cfg = InnerAttackConfig()
         for i in range(0, 30, 3):
             clean = int(victim.predict(x[i]))
-            res = ddn_minimal_perturbation(victim, x[i], cfg)
+            res = ddn_minimal_perturbation(victim, x[i])
             assert res.success
             assert int(victim.predict(np.clip(x[i] + res.delta, 0.0, 1.0))) != clean
 
     def test_does_not_mutate_model(self, victim, test_xy):
         x, _ = test_xy
         before = victim.parameter_vector().copy()
-        ddn_minimal_perturbation(victim, x[0], InnerAttackConfig(steps=10))
+        ddn_minimal_perturbation(victim, x[0], steps=10)
         np.testing.assert_array_equal(victim.parameter_vector(), before)

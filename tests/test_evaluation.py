@@ -349,6 +349,14 @@ class TestTransfer:
         with pytest.raises(InvalidInputError):
             transfer_matrix([model, small], [pert, pert], axis_samples())
 
+    def test_one_label_per_model(self):
+        # one label for two models would write a ragged CSV, three would fail it with an IndexError
+        models = [axis_model(), axis_model()]
+        perts = [Perturbation(v_signal=np.zeros(8), mode="untargeted")] * 2
+        for labels in (["a"], ["a", "b", "c"]):
+            with pytest.raises(InvalidInputError, match="labels for 2 models"):
+                transfer_matrix(models, perts, axis_samples(), labels=labels)
+
 
 class TestSweeps:
     def test_confidence_sweep_matches_direct_run(self, victim, train_xy, test_xy):

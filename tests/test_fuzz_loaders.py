@@ -213,3 +213,21 @@ class TestWellTypedOutOfRange:
         f.write_bytes(_raw_container(manifest, payload))
         with pytest.raises(FormatError, match=next(iter(entry))):
             load_perturbation(f)
+
+    @pytest.mark.parametrize("seed", [[1, {"x": 2}], "banana", 1.0, True], ids=["list", "str", "float", "bool"])
+    @pytest.mark.parametrize("loader", [load_model, load_dataset_dir, load_perturbation],
+                             ids=["model", "dataset", "perturbation"])
+    def test_stored_seed(self, originals, tmp_path, loader, seed):
+        # the three loaders share one rule: a stored seed is an integer or null
+        if loader is load_dataset_dir:
+            manifest = json.loads(originals["data/manifest.json"])
+            manifest["seed"] = seed
+            path = _write_dataset(originals, tmp_path, {"data/manifest.json": json.dumps(manifest).encode()})
+        else:
+            name = "model.uapc" if loader is load_model else "pert.uapc"
+            manifest, payload = _split(originals[name])
+            manifest["seed"] = seed
+            path = tmp_path / name
+            path.write_bytes(_raw_container(manifest, payload))
+        with pytest.raises(FormatError, match="seed must be an integer or null"):
+            loader(path)

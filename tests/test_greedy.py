@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from uapaudio import (
     GreedyConfig,
-    InnerAttackConfig,
     InvalidInputError,
     asr,
     build_victim,
@@ -123,7 +122,7 @@ class TestGreedyLoop:
         model = two_class_model(w, b)
         cfg = GreedyConfig(p=2.0, xi=100.0)  # projection inactive
         res = greedy_uap(model, x0[None, :], cfg)
-        direct = ddn_minimal_perturbation(model, x0, cfg.inner)
+        direct = ddn_minimal_perturbation(model, x0, steps=cfg.inner_steps)
         np.testing.assert_array_equal(res.perturbation.v_signal, direct.delta)
 
     def test_norm_constraint_honored(self, victim, train_xy):
@@ -165,7 +164,7 @@ class TestGreedyLoop:
 
     def test_epoch_cap_without_convergence(self, victim, train_xy):
         x, _ = train_xy
-        cfg = GreedyConfig(max_epochs=1, delta=0.01, inner=InnerAttackConfig(steps=2))
+        cfg = GreedyConfig(max_epochs=1, delta=0.01, inner_steps=2)
         res = greedy_uap(victim, x[:20], cfg)
         assert len(res.asr_trace) - 1 == 1
         assert not res.converged or res.asr_trace[-1] >= 0.99
@@ -175,7 +174,7 @@ class TestGreedyLoop:
         model = build_victim("linear", bandtone_ds.dim, bandtone_ds.num_classes, seed=0)
         train(model, bandtone_ds, epochs=25, seed=0)
         x, _ = train_xy
-        res = greedy_uap(model, x[::6], GreedyConfig(max_epochs=3, seed=1, inner=InnerAttackConfig(steps=5)))
+        res = greedy_uap(model, x[::6], GreedyConfig(max_epochs=3, seed=1, inner_steps=5))
         assert not res.converged and res.iterations == 3
         assert res.perturbation.train_asr == max(res.asr_trace) > res.asr_trace[-1]
         kept = np.clip(x[::6] + res.perturbation.v_signal, 0.0, 1.0)
@@ -186,7 +185,7 @@ class TestGreedyLoop:
         x, _ = train_xy
         default = greedy_uap(victim, x[:6], GreedyConfig(mode="targeted", target=1, max_epochs=1))
         named = greedy_uap(victim, x[:6], GreedyConfig(mode="targeted", target=1, max_epochs=1,
-                                                       inner=InnerAttackConfig(steps=50)))
+                                                       inner_steps=50))
         np.testing.assert_array_equal(named.perturbation.v_signal, default.perturbation.v_signal)
         assert named.inner_calls == default.inner_calls > 0
 

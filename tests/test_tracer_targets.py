@@ -12,7 +12,6 @@ import numpy as np
 import uapaudio.cli  # noqa: F401  (the tracer wraps two CLI commands; the benchmark imports it too)
 from uapaudio import (
     GreedyConfig,
-    InnerAttackConfig,
     PenaltyConfig,
     build_victim,
     evaluate_uap,
@@ -47,7 +46,7 @@ def test_attack_spans_are_reached_from_their_callers(monkeypatch):
     tracer = spans.Tracer()
     done = spans.install(tracer)
     try:
-        greedy_uap(model, x, GreedyConfig(max_epochs=1, inner=InnerAttackConfig(steps=3)))
+        greedy_uap(model, x, GreedyConfig(max_epochs=1, inner_steps=3))
         craft = penalty_uap(model, x, None, PenaltyConfig(max_iters=2))
         evaluate_uap(model, (x, None), craft.perturbation)
     finally:
