@@ -27,7 +27,7 @@ from uapaudio import (
     greedy_uap,
     penalty_uap,
     report_summary,
-    report_to_csv,
+    rows_to_csv,
     save_model,
     save_perturbation,
 )
@@ -58,7 +58,7 @@ def main() -> None:
     def run(tag, pert):
         report = evaluate_uap(model, testset, pert)
         save_perturbation(pert, args.out / f"{tag}.npz")
-        report_to_csv(report, args.out / f"{tag}.csv")
+        rows_to_csv(report.rows, args.out / f"{tag}.csv")
         summaries.append((tag, report))
         print(f"{tag:28s} train {pert.train_asr:.3f}  test {report.test_asr:.3f}  "
               f"snr {report.mean_snr_db:.1f} dB")

@@ -20,9 +20,9 @@ from uapaudio import (
     GreedyConfig,
     PenaltyConfig,
     accuracy,
+    rows_to_csv,
     sweep_confidence,
     sweep_datacount,
-    sweep_to_csv,
 )
 
 
@@ -48,7 +48,7 @@ def main() -> None:
     for row in conf:
         print(f"kappa {row['kappa']:5.1f}  test {row['test_asr']:.3f}  "
               f"snr {row['mean_snr_db']:.1f} dB")
-    sweep_to_csv(conf, args.out / "confidence_sweep.csv")
+    rows_to_csv(conf, args.out / "confidence_sweep.csv")
 
     print(f"== data-count sweep over {DATACOUNT_GRID} ==")
     counts = sweep_datacount(
@@ -60,7 +60,7 @@ def main() -> None:
     for row in counts:
         print(f"{row['method']:8s} m={row['m']:4d}  test {row['test_asr']:.3f}  "
               f"snr {row['mean_snr_db']:.1f} dB")
-    sweep_to_csv(counts, args.out / "datacount_sweep.csv")
+    rows_to_csv(counts, args.out / "datacount_sweep.csv")
 
     print(f"done in {time.perf_counter() - t0:.1f}s; CSVs in {args.out}/")
 

@@ -20,8 +20,8 @@ from uapaudio import (
     PenaltyConfig,
     accuracy,
     penalty_uap,
+    rows_to_csv,
     transfer_matrix,
-    transfer_to_csv,
 )
 
 
@@ -48,14 +48,13 @@ def main() -> None:
               f"train asr {result.perturbation.train_asr:.3f}  "
               f"converged {'yes' if result.converged else 'no'}")
 
-    matrix = transfer_matrix(models, perts, testset)
-    print("source \\ victim:", "  ".join(matrix.labels))
-    for i, name in enumerate(matrix.labels):
-        cells = ["  .  " if i == j else f"{matrix.values[i, j]:.3f}"
-                 for j in range(len(matrix.labels))]
+    rows = transfer_matrix(models, perts, testset)
+    print("source \\ victim:", "  ".join(list(rows[0])[1:]))
+    for name, *rates in (row.values() for row in rows):
+        cells = ["  .  " if rate is None else f"{rate:.3f}" for rate in rates]
         print(f"{name:12s} {'  '.join(cells)}")
 
-    transfer_to_csv(matrix, args.out / "transfer.csv")
+    rows_to_csv(rows, args.out / "transfer.csv")
     print(f"done in {time.perf_counter() - t0:.1f}s; CSV in {args.out}/")
 
 

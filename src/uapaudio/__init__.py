@@ -25,19 +25,15 @@ from .evaluation import (
     DEFAULT_ALPHA,
     KAPPA_GRID,
     EvalReport,
-    EvalRow,
-    TransferMatrix,
     ZTestResult,
     applied_perturbation,
     evaluate_uap,
     report_summary,
-    report_to_csv,
+    rows_to_csv,
     single_sample_attack,
     sweep_confidence,
     sweep_datacount,
-    sweep_to_csv,
     transfer_matrix,
-    transfer_to_csv,
     two_proportion_z,
 )
 from .exceptions import (
@@ -74,7 +70,6 @@ __all__ = [
     "DEFAULT_SAMPLE_RATE",
     "DegenerateVarianceError",
     "EvalReport",
-    "EvalRow",
     "FormatError",
     "GreedyConfig",
     "InnerAttackResult",
@@ -85,7 +80,6 @@ __all__ = [
     "Perturbation",
     "SyntheticDataset",
     "TANH_EPSILON",
-    "TransferMatrix",
     "UapAudioError",
     "UndefinedMetricError",
     "VictimModel",
@@ -109,8 +103,8 @@ __all__ = [
     "rel_loudness",
     "render_signal_v",
     "report_summary",
-    "report_to_csv",
     "rms_power",
+    "rows_to_csv",
     "save_dataset_dir",
     "save_model",
     "save_perturbation",
@@ -120,10 +114,8 @@ __all__ = [
     "spl",
     "sweep_confidence",
     "sweep_datacount",
-    "sweep_to_csv",
     "to_tanh_space",
     "train",
     "transfer_matrix",
-    "transfer_to_csv",
     "two_proportion_z",
 ]

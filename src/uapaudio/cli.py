@@ -27,12 +27,10 @@ from .evaluation import (
     _seeded_subset,
     evaluate_uap,
     report_summary,
-    report_to_csv,
+    rows_to_csv,
     sweep_confidence,
     sweep_datacount,
-    sweep_to_csv,
     transfer_matrix,
-    transfer_to_csv,
     two_proportion_z,
 )
 from .exceptions import InvalidInputError, UapAudioError
@@ -199,7 +197,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     pert = load_perturbation(args.pert)
     report = evaluate_uap(model, dataset.arrays(args.split), pert)
     out = Path(args.report)
-    report_to_csv(report, out)
+    rows_to_csv(report.rows, out)
     _write_run_manifest(out, "evaluate", args, extra=report_summary(report))
     mean_l = f"{report.mean_l_db:.3f}" if np.isfinite(report.mean_l_db) else "nan"
     print(f"wrote {out}: asr={report.test_asr:.4f} "
@@ -221,7 +219,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             model, x, testset, grid, _config(GreedyConfig, args), _config(PenaltyConfig, args),
             seed=args.seed)
 
-    sweep_to_csv(rows, out)
+    rows_to_csv(rows, out)
     _write_run_manifest(out, f"sweep-{args.what}", args, extra={"rows": len(rows)})
     print(f"wrote {out}: {len(rows)} rows")
     return 0
@@ -231,6 +229,8 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
     paths = [p for p in args.models.split(",") if p]
     if len(paths) < 2:
         raise InvalidInputError("transfer needs at least 2 model paths")
+    if len({Path(p).resolve() for p in paths}) != len(paths):
+        raise InvalidInputError(f"--models {args.models} names one model file twice; give each model once")
     models = [load_model(p) for p in paths]
     (x, y), testset = _crafting_sets(args)
     perts = [_craft(args, model, x, y, path)[1].perturbation for model, path in zip(models, paths)]
@@ -238,9 +238,9 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
     labels = [Path(p).stem for p in paths]
     if len(set(labels)) != len(labels):  # stems may collide; fall back to full paths
         labels = [str(p) for p in paths]
-    matrix = transfer_matrix(models, perts, testset, labels=labels)
+    rows = transfer_matrix(models, perts, testset, labels=labels)
     out = Path(args.out)
-    transfer_to_csv(matrix, out)
+    rows_to_csv(rows, out)
     _write_run_manifest(out, "transfer", args)
     print(f"wrote {out}: {len(models)}x{len(models)} matrix")
     return 0

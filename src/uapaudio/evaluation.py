@@ -1,5 +1,8 @@
 """Evaluation harness: reports, transfer matrices, sweeps, significance test.
 
+Every result table is a list of row dicts with one key order, and one writer,
+rows_to_csv, writes them all.
+
 Success is counted against the clean prediction for untargeted attacks (a
 sample is fooled when the perturbed prediction differs from the unperturbed
 one) and against the target class for targeted attacks. Loudness metrics are
@@ -36,15 +39,6 @@ REPORT_COLUMNS = ("sample_id", "clean_pred", "perturbed_pred", "snr_db", "l_db")
 
 
 @dataclass
-class EvalRow:
-    sample_id: int
-    clean_pred: int
-    perturbed_pred: int
-    snr_db: float
-    l_db: float  # nan when the peak ratio is undefined for this pair
-
-
-@dataclass
 class EvalReport:
     mode: str
     method: str
@@ -52,13 +46,7 @@ class EvalReport:
     test_asr: float
     mean_snr_db: float
     mean_l_db: float
-    rows: list[EvalRow]
-
-
-@dataclass
-class TransferMatrix:
-    values: np.ndarray  # (n, n); rows = source of the perturbation, cols = victim
-    labels: list[str]
+    rows: list[dict]  # one per sample, keyed by REPORT_COLUMNS; l_db is nan where the peak ratio is undefined
 
 
 @dataclass
@@ -102,8 +90,8 @@ def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
 
     adv_preds = np.argmax(model._logits(perturbed()), axis=1)
     snrs, l_dbs = np.concatenate(snrs), np.concatenate(l_dbs)
-    rows = [EvalRow(i, int(clean), int(adv), snr_db, l_db) for i, (clean, adv, snr_db, l_db)
-            in enumerate(zip(clean_preds, adv_preds, snrs.tolist(), l_dbs.tolist()))]
+    rows = [dict(zip(REPORT_COLUMNS, row)) for row in zip(
+        range(len(x)), clean_preds.tolist(), adv_preds.tolist(), snrs.tolist(), l_dbs.tolist())]
     finite_l = l_dbs[np.isfinite(l_dbs)]
     return EvalReport(
         mode=pert.mode, method=pert.method, train_asr=pert.train_asr,
@@ -114,9 +102,12 @@ def evaluate_uap(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
     )
 
 
-def report_to_csv(report: EvalReport, path: str | Path) -> None:
-    rows = [[r.sample_id, r.clean_pred, r.perturbed_pred, r.snr_db, r.l_db] for r in report.rows]
-    write_csv(path, list(REPORT_COLUMNS), rows)
+def rows_to_csv(rows: list[dict], path: str | Path) -> None:
+    """Write a result table (row dicts with one key order, scalar values) as CSV."""
+    if not rows:
+        raise InvalidInputError("no rows to write")
+    columns = list(rows[0])
+    write_csv(path, columns, [[row[col] for col in columns] for row in rows])
 
 
 def report_summary(report: EvalReport) -> dict:
@@ -134,9 +125,10 @@ def report_summary(report: EvalReport) -> dict:
 
 def transfer_matrix(models: list[VictimModel], perts: list[Perturbation],
                     testset: tuple[np.ndarray, np.ndarray],
-                    labels: list[str] | None = None) -> TransferMatrix:
-    """Cross-model success rates: entry (i, j) scores source i's perturbation
-    against victim j. The diagonal (self-attack) is left undefined."""
+                    labels: list[str] | None = None) -> list[dict]:
+    """Cross-model success rates, one row per source: {"source\\victim": label_i,
+    label_j: source i's perturbation scored against victim j, ...}. The diagonal
+    (self-attack) is left undefined, None."""
     if len(models) < 2:
         raise InvalidInputError("transfer needs at least 2 models")
     if len(perts) != len(models):
@@ -144,23 +136,15 @@ def transfer_matrix(models: list[VictimModel], perts: list[Perturbation],
     labels = [f"{m.arch}-{k}" for k, m in enumerate(models)] if labels is None else list(labels)
     if len(labels) != len(models):
         raise InvalidInputError(f"{len(labels)} labels for {len(models)} models; give one label per model")
+    corner = "source\\victim"
+    if len(set(labels)) != len(labels) or corner in labels:
+        raise InvalidInputError(f"labels {labels} repeat a label or use {corner!r}; give each model its own")
     dims = {m.input_dim for m in models}
     if len(dims) != 1:
         raise InvalidInputError("models must share an input dimension")
-    n = len(models)
-    values = np.full((n, n), np.nan)
-    for i, pert in enumerate(perts):
-        for j, victim in enumerate(models):
-            if i == j:
-                continue
-            values[i, j] = evaluate_uap(victim, testset, pert).test_asr
-    return TransferMatrix(values, labels)
-
-
-def transfer_to_csv(matrix: TransferMatrix, path: str | Path) -> None:
-    rows = [[name, *(v if np.isfinite(v) else None for v in matrix.values[i])]
-            for i, name in enumerate(matrix.labels)]
-    write_csv(path, ["source\\victim"] + matrix.labels, rows)
+    return [{corner: source} | {label: None if i == j else evaluate_uap(victim, testset, pert).test_asr
+                                for j, (label, victim) in enumerate(zip(labels, models))}
+            for i, (source, pert) in enumerate(zip(labels, perts))]
 
 
 def two_proportion_z(p_l: float, p_h: float, m: int,
@@ -242,14 +226,6 @@ def sweep_datacount(model: VictimModel, x: np.ndarray,
         p = penalty_uap(model, x[idx], None, penalty_cfg)
         out.append(_sweep_row(model, testset, p.perturbation, method="penalty", m=m))
     return out
-
-
-def sweep_to_csv(rows: list[dict], path: str | Path) -> None:
-    """Write sweep rows (uniform dict keys, scalar values) as CSV."""
-    if not rows:
-        raise InvalidInputError("no sweep rows to write")
-    columns = list(rows[0].keys())
-    write_csv(path, columns, [[row[col] for col in columns] for row in rows])
 
 
 def single_sample_attack(model: VictimModel, x: np.ndarray, y: np.ndarray,

@@ -118,6 +118,13 @@ def test_one_function_takes_each_db_level():
                             and getattr(n.func, "attr", None) == "log10") == ["audio._peak_db", "audio.spl"]
 
 
+def test_one_table_writer():
+    """Every result table is written by rows_to_csv; the only other CSV is a dataset's labels.csv."""
+    assert _functions_where(lambda n: isinstance(n, ast.Call)
+                            and "write_csv" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))) \
+        == ["data.save_dataset_dir", "evaluation.rows_to_csv"]
+
+
 def test_one_crafting_path_in_the_cli():
     """craft, sweep and transfer share one path: in the CLI only _craft names a crafting method, and
     only _crafting_sets loads a crafting set (train-victim and evaluate load the data they need)."""

@@ -425,6 +425,18 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("models", ["victim.uapc,victim.uapc", "victim.uapc,./victim.uapc"],
+                             ids=["same-spelling", "dot-slash"])
+    def test_transfer_refuses_one_model_file_twice(self, workspace, tmp_path, capsys, monkeypatch, models):
+        # both would craft one perturbation twice and report its self-attack rate as a transfer rate
+        monkeypatch.chdir(workspace)
+        out = tmp_path / "t.csv"
+        rc = main(["transfer", "--models", models, "--data", "data", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "twice" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_sweep_grid(self, workspace, capsys):
         rc = main(["sweep", "confidence", "--model", str(workspace / "victim.uapc"),
                    "--data", str(workspace / "data"), "--grid", "0,forty",

@@ -1,7 +1,6 @@
 """Evaluation harness: reports, transfer, sweeps, significance test."""
 
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,15 +20,13 @@ from uapaudio import (
     load_perturbation,
     penalty_uap,
     report_summary,
-    report_to_csv,
+    rows_to_csv,
     save_model,
     save_perturbation,
     single_sample_attack,
     sweep_confidence,
     sweep_datacount,
-    sweep_to_csv,
     transfer_matrix,
-    transfer_to_csv,
     two_proportion_z,
 )
 from uapaudio.audio import rel_loudness, snr
@@ -126,7 +123,7 @@ class TestEvaluateUap:
         assert report.test_asr == pytest.approx(0.25)
         assert len(report.rows) == 4
         # the report's own rows recount to the same rate
-        flipped = sum(r.clean_pred != r.perturbed_pred for r in report.rows)
+        flipped = sum(r["clean_pred"] != r["perturbed_pred"] for r in report.rows)
         assert flipped / len(report.rows) == report.test_asr
 
     def test_zero_perturbation_scores_zero(self):
@@ -160,18 +157,25 @@ class TestEvaluateUap:
             evaluate_uap(model, (x, y[:2]), pert)
 
     def test_report_csv_round_trip(self, tmp_path):
+        # one row the perturbation flips, and one (all 1.0) that nothing can be added to: l_db is nan
         model = axis_model()
         x, y = axis_samples()
+        x[3] = 1.0
         v = np.zeros(8)
-        v[0] = -0.25
-        pert = Perturbation(v_signal=v, mode="untargeted")
-        report = evaluate_uap(model, (x, y), pert)
+        v[0], v[1] = -0.25, 0.1
+        report = evaluate_uap(model, (x, y), Perturbation(v_signal=v, mode="untargeted"))
+        assert [list(r) for r in report.rows] == [list(REPORT_COLUMNS)] * 4
         f = tmp_path / "report.csv"
-        report_to_csv(report, f)
+        rows_to_csv(report.rows, f)
         header, rows = read_csv(f)
         assert header == list(REPORT_COLUMNS)
-        assert len(rows) == 4
-        assert [float(r[3]) for r in rows] == [r.snr_db for r in report.rows]
+        assert [float(r[3]) for r in rows] == [r["snr_db"] for r in report.rows]
+        # exact bytes: a change to the row order, the key order or the cell rule shows here
+        assert f.read_bytes() == (b"sample_id,clean_pred,perturbed_pred,snr_db,l_db\n"
+                                  b"0,0,0,15.479019587408555,-19.084850188786497\n"
+                                  b"1,0,1,14.89910011763169,-16.901960800285135\n"
+                                  b"2,1,1,15.538830266438742,-13.979400086720375\n"
+                                  b"3,0,0,21.072099696478684,nan\n")
 
 
 def _whole_batch_report(model, x, pert):
@@ -208,7 +212,8 @@ class TestBlockwiseEvaluation:
         for n in (1, 31, 32, 33, 65, 300):
             report = evaluate_uap(model, (x[:n], None), pert)
             rows, summary = _whole_batch_report(model, x[:n], pert)
-            assert np.array([astuple(r) for r in report.rows]).tobytes() == np.array(rows, dtype=float).tobytes(), n
+            assert np.array([tuple(r.values()) for r in report.rows]).tobytes() \
+                == np.array(rows, dtype=float).tobytes(), n
             assert np.array([report.test_asr, report.mean_snr_db, report.mean_l_db]).tobytes() \
                 == np.array(summary).tobytes(), n
             assert (report.mode, report.method, report.train_asr) == (mode, method, None)
@@ -245,15 +250,15 @@ class TestRowOracle:
             "zero": {"v_signal": np.zeros(512)},  # every row's perturbation sits at the SPL floor
         }[vector])
         report = evaluate_uap(model, (x, None), pert)
-        assert len(report.rows) == 70 and np.isnan(report.rows[5].l_db)
+        assert len(report.rows) == 70 and np.isnan(report.rows[5]["l_db"])
         for row, xi in zip(report.rows, x):
             (applied,) = applied_perturbation(xi, pert)
             try:
                 l_db = rel_loudness(xi, applied)
             except UndefinedMetricError:
                 l_db = float("nan")
-            assert np.float64(row.snr_db).tobytes() == np.float64(snr(xi, applied)).tobytes(), row
-            assert np.float64(row.l_db).tobytes() == np.float64(l_db).tobytes(), row
+            assert np.float64(row["snr_db"]).tobytes() == np.float64(snr(xi, applied)).tobytes(), row
+            assert np.float64(row["l_db"]).tobytes() == np.float64(l_db).tobytes(), row
 
 
 def _craft(model, x, method, mode):
@@ -315,28 +320,27 @@ class TestTransfer:
         v[0] = -0.25
         perts = [Perturbation(v_signal=v, mode="untargeted") for _ in range(2)]
         x, y = axis_samples()
-        matrix = transfer_matrix(models, perts, (x, y), labels=["a", "b"])
-        assert matrix.values.shape == (2, 2)
-        assert np.isnan(matrix.values[0, 0]) and np.isnan(matrix.values[1, 1])
+        rows = transfer_matrix(models, perts, (x, y), labels=["a", "b"])
+        assert [list(row) for row in rows] == [["source\\victim", "a", "b"]] * 2
+        assert [row["source\\victim"] for row in rows] == ["a", "b"]
+        assert rows[0]["a"] is None and rows[1]["b"] is None
         # identical source/victim pairs transfer symmetrically
-        assert matrix.values[0, 1] == matrix.values[1, 0] == pytest.approx(0.25)
+        assert rows[0]["b"] == rows[1]["a"] == pytest.approx(0.25)
 
     def test_default_labels(self):
         models = [axis_model(), axis_model()]
         perts = [Perturbation(v_signal=np.zeros(8), mode="untargeted")] * 2
-        matrix = transfer_matrix(models, perts, axis_samples())
-        assert matrix.labels == ["linear-0", "linear-1"]
+        rows = transfer_matrix(models, perts, axis_samples())
+        assert list(rows[0])[1:] == ["linear-0", "linear-1"]
 
     def test_csv_blank_diagonal(self, tmp_path):
-        models = [axis_model(), axis_model()]
-        perts = [Perturbation(v_signal=np.zeros(8), mode="untargeted")] * 2
-        matrix = transfer_matrix(models, perts, axis_samples(), labels=["a", "b"])
+        v = np.zeros(8)
+        v[0], v[1] = -0.25, 0.1
+        perts = [Perturbation(v_signal=v, mode="untargeted"), Perturbation(v_signal=np.zeros(8), mode="untargeted")]
         f = tmp_path / "t.csv"
-        transfer_to_csv(matrix, f)
-        header, rows = read_csv(f)
-        assert header == ["source\\victim", "a", "b"]
-        assert rows[0][1] == "" and rows[1][2] == ""
-        assert rows[0][2] == "0.0"
+        rows_to_csv(transfer_matrix([axis_model()] * 2, perts, axis_samples(), labels=["a", "b"]), f)
+        # exact bytes, blank diagonal included
+        assert f.read_bytes() == b"source\\victim,a,b\na,,0.25\nb,0.0,\n"
 
     def test_validation(self):
         model = axis_model()
@@ -357,6 +361,13 @@ class TestTransfer:
             with pytest.raises(InvalidInputError, match="labels for 2 models"):
                 transfer_matrix(models, perts, axis_samples(), labels=labels)
 
+    @pytest.mark.parametrize("labels", [["a", "a"], ["source\\victim", "b"]], ids=["repeated", "corner"])
+    def test_labels_name_distinct_columns(self, labels):
+        # a repeated label, or one equal to the corner cell, would merge two columns of a row dict
+        perts = [Perturbation(v_signal=np.zeros(8), mode="untargeted")] * 2
+        with pytest.raises(InvalidInputError, match="repeat a label"):
+            transfer_matrix([axis_model()] * 2, perts, axis_samples(), labels=labels)
+
 
 class TestSweeps:
     def test_confidence_sweep_matches_direct_run(self, victim, train_xy, test_xy):
@@ -375,17 +386,18 @@ class TestSweeps:
         rows = sweep_confidence(victim, x[:10], test_xy, kappa_grid=[0.0, 40.0], cfg=base)
         assert [r["kappa"] for r in rows] == [0.0, 40.0]
         f = tmp_path / "sweep.csv"
-        sweep_to_csv(rows, f)
+        rows_to_csv(rows, f)
         header, body = read_csv(f)
         assert header == ["kappa", "train_asr", "test_asr", "mean_snr_db", "mean_l_db"]
         assert len(body) == 2
 
-    def test_empty_grid_rejected(self, victim, train_xy, test_xy):
+    def test_empty_grid_rejected(self, victim, train_xy, test_xy, tmp_path):
         x, _ = train_xy
         with pytest.raises(InvalidInputError):
             sweep_confidence(victim, x[:5], test_xy, kappa_grid=[])
-        with pytest.raises(InvalidInputError):
-            sweep_to_csv([], "unused.csv")
+        with pytest.raises(InvalidInputError, match="no rows"):
+            rows_to_csv([], tmp_path / "unused.csv")
+        assert not (tmp_path / "unused.csv").exists()
 
     def test_datacount_full_set_equals_direct_craft(self, victim, train_xy, test_xy):
         x, y = train_xy
@@ -447,7 +459,7 @@ class TestSingleSample:
         assert np.any(res.perturbation.v_tanh != 0.0)
         results = single_sample_attack(model, x, np.array([1]), (x, None), cfg=cfg)
         label, report = results[0]
-        assert label == 1 and report.rows[0].clean_pred == 0
+        assert label == 1 and report.rows[0]["clean_pred"] == 0
         assert report.train_asr == res.perturbation.train_asr
 
     def test_default_runs_the_fixed_19_update_budget(self):
