@@ -30,7 +30,6 @@ from .evaluation import (
     evaluate_uap,
     report_summary,
     rows_to_csv,
-    single_sample_attack,
     sweep_confidence,
     sweep_datacount,
     transfer_matrix,
@@ -109,7 +108,6 @@ __all__ = [
     "save_model",
     "save_perturbation",
     "save_wav",
-    "single_sample_attack",
     "snr",
     "spl",
     "sweep_confidence",

@@ -70,14 +70,19 @@ def _blas_version() -> dict:
     return {"name": blas.get("name"), "version": blas.get("version")}
 
 
+def _recorded_paths(paths: str, manifest_dir: Path) -> list[str]:
+    """A comma-separated path argument as run.json records it: each path relative to the
+    manifest's directory, so the same run elsewhere writes the same bytes."""
+    return [os.path.relpath(p, manifest_dir) for p in paths.split(",") if p]
+
+
 def _write_run_manifest(artifact: Path, command: str, args: argparse.Namespace,
                         extra: dict | None = None) -> None:
     target = artifact / "run.json" if artifact.is_dir() else Path(str(artifact) + ".run.json")
     recorded = {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k != "func"}
     for k in _PATH_ARGS:
         if recorded.get(k) is not None:
-            # relative to the manifest, so the same run elsewhere writes the same bytes
-            recorded[k] = ",".join(os.path.relpath(p, target.parent) for p in recorded[k].split(",") if p)
+            recorded[k] = ",".join(_recorded_paths(recorded[k], target.parent))
     manifest = {
         "command": command,
         "args": recorded,
@@ -212,12 +217,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.what == "confidence":
         grid = _parse_grid(args.grid) if args.grid else list(KAPPA_GRID)
-        rows = sweep_confidence(model, x, testset, grid, _config(PenaltyConfig, args))
+        rows = sweep_confidence(model, x, testset, grid, cfg=_config(PenaltyConfig, args))
     else:
         grid = _parse_grid(args.grid) if args.grid else list(DATACOUNT_GRID)
-        rows = sweep_datacount(
-            model, x, testset, grid, _config(GreedyConfig, args), _config(PenaltyConfig, args),
-            seed=args.seed)
+        rows = sweep_datacount(model, x, testset, grid, greedy_cfg=_config(GreedyConfig, args),
+                               penalty_cfg=_config(PenaltyConfig, args), seed=args.seed)
 
     rows_to_csv(rows, out)
     _write_run_manifest(out, f"sweep-{args.what}", args, extra={"rows": len(rows)})
@@ -235,12 +239,11 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
     (x, y), testset = _crafting_sets(args)
     perts = [_craft(args, model, x, y, path)[1].perturbation for model, path in zip(models, paths)]
 
-    labels = [Path(p).stem for p in paths]
-    if len(set(labels)) != len(labels):  # stems may collide; fall back to full paths
-        labels = [str(p) for p in paths]
-    rows = transfer_matrix(models, perts, testset, labels=labels)
     out = Path(args.out)
-    rows_to_csv(rows, out)
+    labels = [Path(p).stem for p in paths]
+    if len(set(labels)) != len(labels):  # stems may collide; fall back to the paths run.json records
+        labels = _recorded_paths(args.models, out.parent)
+    rows_to_csv(transfer_matrix(models, perts, testset, labels=labels), out)
     _write_run_manifest(out, "transfer", args)
     print(f"wrote {out}: {len(models)}x{len(models)} matrix")
     return 0

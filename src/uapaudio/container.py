@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import FormatError
+from .exceptions import FormatError, InvalidInputError
 
 MAGIC = b"UAPC0002"
 
@@ -29,15 +29,21 @@ def fmt_float(x: float) -> str:
 
 
 def _cell(value) -> str:
-    """The one cell rule: a float (float64 too) as fmt_float, None empty, anything else as str."""
+    """The one cell rule: a float (float64 too) as fmt_float, None empty, anything else as str; text
+    holding a comma or line break is refused, since cells are unquoted and it would split its row."""
     if value is None:
         return ""
-    return fmt_float(value) if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return fmt_float(value)
+    if isinstance(value, str) and ("," in value or "\r" in value or "\n" in value):
+        raise InvalidInputError(f"CSV cell {value!r} holds a comma or line break")
+    return str(value)
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    """Write CSV, each cell by _cell, with a fixed newline convention so output bytes are canonical."""
-    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    """Write CSV, each cell (header too) by _cell, with a fixed newline convention so output
+    bytes are canonical. A refused cell writes no file."""
+    lines = [",".join(map(_cell, header))] + [",".join(map(_cell, row)) for row in rows]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 

@@ -183,14 +183,11 @@ def _sweep_row(model: VictimModel, testset: tuple[np.ndarray, np.ndarray],
 
 def sweep_confidence(model: VictimModel, x: np.ndarray,
                      testset: tuple[np.ndarray, np.ndarray],
-                     kappa_grid=KAPPA_GRID,
-                     cfg: PenaltyConfig | None = None) -> list[dict]:
-    """One penalty craft+evaluate cycle per confidence value, one row each."""
+                     kappa_grid=KAPPA_GRID, *, cfg: PenaltyConfig) -> list[dict]:
+    """One penalty craft+evaluate cycle per confidence value, one row each; cfg sets the rest."""
     kappas = [float(k) for k in kappa_grid]
     if not kappas:
         raise InvalidInputError("empty confidence grid")
-    if cfg is None:
-        cfg = PenaltyConfig()
     out = []
     for kappa in kappas:
         run_cfg = replace(cfg, kappa=kappa)
@@ -201,12 +198,10 @@ def sweep_confidence(model: VictimModel, x: np.ndarray,
 
 def sweep_datacount(model: VictimModel, x: np.ndarray,
                     testset: tuple[np.ndarray, np.ndarray],
-                    m_grid=DATACOUNT_GRID,
-                    greedy_cfg: GreedyConfig | None = None,
-                    penalty_cfg: PenaltyConfig | None = None,
-                    seed: int = 0) -> list[dict]:
-    """Craft with both methods from the first m samples of one seeded shuffle;
-    one row per craft, greedy first at each m."""
+                    m_grid=DATACOUNT_GRID, *, greedy_cfg: GreedyConfig,
+                    penalty_cfg: PenaltyConfig, seed: int = 0) -> list[dict]:
+    """Craft with both methods (greedy_cfg, penalty_cfg) from the first m samples of one
+    seeded shuffle; one row per craft, greedy first at each m."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     m_grid = list(m_grid)
     if not all(_whole(m) for m in m_grid):
@@ -214,10 +209,6 @@ def sweep_datacount(model: VictimModel, x: np.ndarray,
     counts = sorted({int(m) for m in m_grid if 1 <= m <= x.shape[0]})
     if not counts:
         raise InvalidInputError("data-count grid has no feasible sizes")
-    if greedy_cfg is None:
-        greedy_cfg = GreedyConfig()
-    if penalty_cfg is None:
-        penalty_cfg = PenaltyConfig(mode=greedy_cfg.mode, target=greedy_cfg.target)
     out = []
     for m in counts:
         idx = _seeded_subset(x.shape[0], m, seed)
@@ -225,30 +216,4 @@ def sweep_datacount(model: VictimModel, x: np.ndarray,
         out.append(_sweep_row(model, testset, g.perturbation, method="greedy", m=m))
         p = penalty_uap(model, x[idx], None, penalty_cfg)
         out.append(_sweep_row(model, testset, p.perturbation, method="penalty", m=m))
-    return out
-
-
-def single_sample_attack(model: VictimModel, x: np.ndarray, y: np.ndarray,
-                         testset: tuple[np.ndarray, np.ndarray],
-                         cfg: PenaltyConfig | None = None) -> list[tuple[int, EvalReport]]:
-    """Craft one penalty perturbation per class from a single sample of it.
-
-    x holds exactly one sample per class (y gives the classes, all distinct);
-    by default each run has a fixed 19-iteration budget and a high-confidence hinge.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if x.shape[0] != y.shape[0] or y.size == 0:
-        raise InvalidInputError("need one labeled sample per class")
-    if np.unique(y).size != y.size:
-        raise InvalidInputError("classes must be distinct")
-    if np.any(y < 0) or np.any(y >= model.num_classes):
-        raise InvalidInputError("class out of range for the victim")
-    if cfg is None:
-        cfg = PenaltyConfig(c=0.2, kappa=90.0, batch_size=1, min_iters=19, max_iters=19)
-    out = []
-    for k in np.argsort(y):
-        label = int(y[k])
-        result = penalty_uap(model, x[k : k + 1], y[k : k + 1], cfg)
-        out.append((label, evaluate_uap(model, testset, result.perturbation)))
     return out

@@ -148,6 +148,26 @@ class TestPipeline:
         run = json.loads((workspace / "transfer.csv.run.json").read_text())
         assert run["args"]["models"] == "victim.uapc,victim2.uapc"
 
+    def test_transfer_labels_of_colliding_stems_do_not_depend_on_spelling(self, workspace, tmp_path, monkeypatch):
+        # two files named v.uapc: the labels fall back to the paths run.json records,
+        # relative to the CSV's directory, however --models spelled them
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "v.uapc").write_bytes((workspace / "victim.uapc").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        spellings = {"absolute": f"{tmp_path / 'a/v.uapc'},{tmp_path / 'b/v.uapc'}",
+                     "relative": "a/v.uapc,b/v.uapc"}
+        for name, models in spellings.items():
+            (tmp_path / name).mkdir()
+            rc = main(["transfer", "--models", models, "--data", str(workspace / "data"),
+                       "--method", "greedy", "--m", "8", "--out", f"{name}/t.csv"])
+            assert rc == 0
+            run = json.loads((tmp_path / name / "t.csv.run.json").read_text())
+            assert run["args"]["models"] == "../a/v.uapc,../b/v.uapc"
+        absolute, relative = ((tmp_path / name / "t.csv").read_bytes() for name in spellings)
+        assert absolute == relative
+        assert absolute.decode().splitlines()[0] == "source\\victim,../a/v.uapc,../b/v.uapc"
+
     def test_unconverged_craft_warns(self, workspace, capsys):
         model = str(workspace / "victim.uapc")
         rc = main(["craft", "--method", "penalty", "--mode", "untargeted", "--iters", "1",

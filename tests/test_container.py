@@ -58,6 +58,16 @@ class TestCsv:
                   [[None, np.float64(0.1), 3, np.int64(-4), "x y"]])
         assert f.read_bytes() == f"none,f64,int,i64,str\n,{fmt_float(0.1)},3,-4,x y\n".encode()
 
+    @pytest.mark.parametrize("text", ["a,b", "a\rb", "a\nb", "\n"])
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_text_that_would_split_a_row_is_refused(self, tmp_path, text, where):
+        # cells are unquoted, so a comma or line break in one would make a ragged CSV
+        f = tmp_path / "t.csv"
+        header, rows = (["h", text], [["1", "x"]]) if where == "header" else (["h", "s"], [["1", "x"], [2, text]])
+        with pytest.raises(InvalidInputError, match="comma or line break"):
+            write_csv(f, header, rows)
+        assert not f.exists()
+
     def test_empty_rows(self, tmp_path):
         f = tmp_path / "t.csv"
         write_csv(f, ["only", "header"], [])

@@ -1,5 +1,6 @@
 """Evaluation harness: reports, transfer, sweeps, significance test."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,6 @@ from uapaudio import (
     rows_to_csv,
     save_model,
     save_perturbation,
-    single_sample_attack,
     sweep_confidence,
     sweep_datacount,
     transfer_matrix,
@@ -342,6 +342,15 @@ class TestTransfer:
         # exact bytes, blank diagonal included
         assert f.read_bytes() == b"source\\victim,a,b\na,,0.25\nb,0.0,\n"
 
+    def test_label_holding_a_comma_writes_no_csv(self, tmp_path):
+        # unquoted, "a,b" would split its header cell and its row: rows of 4, 4 and 3 fields
+        perts = [Perturbation(v_signal=np.zeros(8), mode="untargeted")] * 2
+        rows = transfer_matrix([axis_model()] * 2, perts, axis_samples(), labels=["a,b", "c"])
+        f = tmp_path / "t.csv"
+        with pytest.raises(InvalidInputError, match="comma or line break"):
+            rows_to_csv(rows, f)
+        assert not f.exists()
+
     def test_validation(self):
         model = axis_model()
         pert = Perturbation(v_signal=np.zeros(8), mode="untargeted")
@@ -394,7 +403,7 @@ class TestSweeps:
     def test_empty_grid_rejected(self, victim, train_xy, test_xy, tmp_path):
         x, _ = train_xy
         with pytest.raises(InvalidInputError):
-            sweep_confidence(victim, x[:5], test_xy, kappa_grid=[])
+            sweep_confidence(victim, x[:5], test_xy, kappa_grid=[], cfg=PenaltyConfig())
         with pytest.raises(InvalidInputError, match="no rows"):
             rows_to_csv([], tmp_path / "unused.csv")
         assert not (tmp_path / "unused.csv").exists()
@@ -433,19 +442,20 @@ class TestSweeps:
     def test_datacount_grid_of_non_whole_numbers_rejected(self, victim, train_xy, test_xy, m):
         x, _ = train_xy
         with pytest.raises(InvalidInputError, match="whole number"):
-            sweep_datacount(victim, x[:6], test_xy, m_grid=[3, m])
+            sweep_datacount(victim, x[:6], test_xy, m_grid=[3, m],
+                            greedy_cfg=GreedyConfig(), penalty_cfg=PenaltyConfig())
+
+    @pytest.mark.parametrize("sweep, names", [(sweep_confidence, ["cfg"]),
+                                              (sweep_datacount, ["greedy_cfg", "penalty_cfg"])])
+    def test_configs_come_from_the_caller(self, sweep, names):
+        # keyword-only and required: a sweep builds no config of its own
+        params = inspect.signature(sweep).parameters
+        for name in names:
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+            assert params[name].default is inspect.Parameter.empty
 
 
 class TestSingleSample:
-    def test_one_report_per_class_sorted(self, victim, train_xy, test_xy):
-        x, y = train_xy
-        picks = [int(np.flatnonzero(y == k)[0]) for k in (2, 0, 1)]
-        cfg = PenaltyConfig(c=20.0, kappa=90.0, batch_size=1, max_iters=19, seed=0)
-        results = single_sample_attack(victim, x[picks], y[picks], test_xy, cfg=cfg)
-        assert [label for label, _ in results] == [0, 1, 2]
-        for _, report in results:
-            assert report.method == "penalty"
-
     def test_mislabeled_sample_escapes_its_clean_class(self):
         # the label (1) is wrong: the class to escape is the clean prediction
         # (0), so the sample does not count as fooled before any update and
@@ -457,29 +467,3 @@ class TestSingleSample:
         res = penalty_uap(model, x, np.array([1]), cfg)
         assert res.asr_trace[0] == 0.0 and res.iterations > 0
         assert np.any(res.perturbation.v_tanh != 0.0)
-        results = single_sample_attack(model, x, np.array([1]), (x, None), cfg=cfg)
-        label, report = results[0]
-        assert label == 1 and report.rows[0]["clean_pred"] == 0
-        assert report.train_asr == res.perturbation.train_asr
-
-    def test_default_runs_the_fixed_19_update_budget(self):
-        # each sample sits one update from the boundary, so a run that
-        # stops at its first success ends after one update
-        model = axis_model()
-        x = np.full((2, 8), 0.5)
-        x[0, 0], x[1, 0] = 0.502, 0.499
-        y = model.predict(x)
-        first_success = PenaltyConfig(c=0.2, kappa=90.0, batch_size=1, max_iters=19)
-        assert penalty_uap(model, x[:1], None, first_success).iterations == 1
-        fixed = PenaltyConfig(c=0.2, kappa=90.0, batch_size=1, min_iters=19, max_iters=19)
-        default = single_sample_attack(model, x, y, (x, None))
-        assert repr(default) == repr(single_sample_attack(model, x, y, (x, None), cfg=fixed))
-
-    def test_validation(self, victim, train_xy, test_xy):
-        x, y = train_xy
-        with pytest.raises(InvalidInputError):
-            single_sample_attack(victim, x[:2], y[:1], test_xy)
-        with pytest.raises(InvalidInputError):
-            single_sample_attack(victim, x[:2], np.array([1, 1]), test_xy)
-        with pytest.raises(InvalidInputError):
-            single_sample_attack(victim, x[:1], np.array([99]), test_xy)

@@ -1,5 +1,6 @@
-"""The desk scripts start: each parses its flags through the shared scripts/_desk.py, and the
-three that write CSVs run end to end at a tiny shape."""
+"""The desk scripts start: each parses its flags through the shared scripts/_desk.py, the
+three that write CSVs run end to end at a tiny shape, and run_small_data.py runs its Z tests
+and its single-sample protocol at one."""
 
 import os
 import subprocess
@@ -38,3 +39,15 @@ def test_tiny_run_writes_its_csvs(name, headers, tmp_path):
     assert proc.returncode == 0, proc.stderr
     written = {p.name: p.read_text().splitlines()[0] for p in tmp_path.glob("*.csv")}
     assert written == headers
+
+
+def test_small_data_survives_degenerate_medians_and_runs_one_craft_per_class():
+    # at this shape both methods' median test ASR is 0 at m=1, where the Z test is undefined
+    proc = _run("run_small_data", "--classes", "3", "--per-class", "6", "--test-per-class", "3",
+                "--dim", "1024", "--epochs", "2", "--seeds", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert any(line.startswith("m=1: Z undefined") for line in lines)
+    protocol = lines[lines.index("== single-sample protocol (one crafting sample per class) ==") + 1:]
+    assert [line.split(":")[0] for line in protocol[:3]] == ["class 0", "class 1", "class 2"]
+    assert protocol[3].startswith("mean test asr")
